@@ -331,7 +331,7 @@ _FLOW_COLUMNS = ["flow_id", "kind", "src", "dst", "sent", "delivered", "pdr",
 
 def _fmt(x):
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))   # np.float64 would repr as "np.float64(...)"
     return str(x)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -195,6 +196,24 @@ def test_export_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.flows.csv").read_bytes() == \
         (tmp_path / "b.flows.csv").read_bytes()
+
+
+def test_export_csv_cells_are_plain_numbers(tmp_path):
+    # the t quantile comes back as np.float64; its repr must not leak into csv
+    result = sweep(tiny_scenario(), [1], [0], seeds=[1, 2],
+                   keep_flow_details=True)
+    export(result, "csv", tmp_path / "out.csv")
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    with open(tmp_path / "out.flows.csv", newline="") as fh:
+        flows = list(csv.reader(fh))[1:]
+    assert rows and flows
+    for row in rows:
+        for cell in row[:2] + row[3:]:
+            float(cell)
+    for row in flows:
+        for cell in row[4:]:
+            float(cell)
 
 
 def test_export_unknown_format(tmp_path):
