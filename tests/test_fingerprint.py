@@ -1,0 +1,150 @@
+"""Pinned fingerprints of simulated output.
+
+A change that only makes meshsim faster or simpler must leave every value
+here unchanged. The export hashes cover whole short runs; the MAC outcome
+lists catch a reordered random draw at the unit level. A change that is
+meant to alter simulated output updates these values and says why.
+"""
+
+import hashlib
+
+import pytest
+import yaml
+
+from meshsim import preset_path
+from meshsim.engine import Engine, Medium
+from meshsim.harness import export, single_run_result, sweep
+from meshsim.scenario import Scenario
+from meshsim.topology import build_topology
+
+from conftest import make_nodes, two_node_topology
+
+SEEDS = [1, 2]
+CALLS = [3]
+BG = [1, 4]
+
+
+def fresh_preset(name, **run):
+    """A newly loaded preset Scenario with a shortened run section."""
+    with open(preset_path(name)) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(run)
+    return Scenario.from_dict(raw, name)
+
+
+def export_digests(result, tmp_path):
+    """SHA-256 of the csv (summary + flows) and json exports."""
+    csv_files = export(result, "csv", tmp_path / "out.csv")
+    json_files = export(result, "json", tmp_path / "out.json")
+    digests = {}
+    for fmt, files in (("csv", csv_files), ("json", json_files)):
+        h = hashlib.sha256()
+        for path in files:
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        digests[fmt] = h.hexdigest()
+    return digests
+
+
+SWEEP_DIGESTS = {
+    "indoor22": {
+        "csv": "28ca38c4aced79836a4c392f63fe8aa45314dff2862a302dcd6d681f716134fa",
+        "json": "b4dbad8ac3eb88fad8e7fe8488fae9a55f74482b6220e2ccfd33211cee46101c"},
+    "outdoor7": {
+        "csv": "5bb85dd9f6c04fac9fc705b7bb66eae742a0a5bef7205e1f86a019c333ce5143",
+        "json": "fe5fc8f40f47b7818e89456a5b14794d75da1472a5d8853a4df3a3414c321ce3"},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SWEEP_DIGESTS))
+def test_sweep_export_fingerprint(preset, tmp_path):
+    scn = fresh_preset(preset, duration=16.0, warmup=6.0)
+    result = sweep(scn, CALLS, BG, SEEDS, keep_flow_details=True)
+    assert export_digests(result, tmp_path) == SWEEP_DIGESTS[preset]
+
+
+# Pins today's behaviour: the second outage saves the first one's p=0 as the
+# value to restore, so the 0<->1 links stay dead after both have ended.
+OUTAGE_DIGESTS = {
+    "csv": "6342127c8c1289f1d70bf370666939c2e1ab17b124d258af3d437c2e980bed55",
+    "json": "999d4b3c49edb85539345727fb5e3211d20de5dfac05c6a2fec37b30a4c1c03c"}
+
+
+def test_overlapping_outages_fingerprint(tmp_path):
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(duration=20.0, warmup=6.0)
+    raw["workload"]["calls"].update(count=3, background=2)
+    raw["workload"]["actions"] = [
+        {"at": 8.0, "kind": "outage", "a": 0, "b": 1, "duration": 5.0},
+        {"at": 10.0, "kind": "outage", "a": 0, "b": 1, "duration": 5.0},
+    ]
+    scn = Scenario.from_dict(raw, "indoor22-outages")
+    result = single_run_result(scn, [3])
+    assert export_digests(result, tmp_path) == OUTAGE_DIGESTS
+
+
+# (delivered, attempts, completion_time, airtime)
+TRANSMIT_OUTCOMES = [
+    (True, 1, 0.0009365499060781004, 4.1666666666666665e-05),
+    (True, 2, 0.0011688248860226014, 8.333333333333333e-05),
+    (True, 2, 0.0010868997950351119, 8.333333333333333e-05),
+    (True, 1, 0.0009887703253506097, 4.1666666666666665e-05),
+    (True, 1, 0.0010864842634389549, 4.1666666666666665e-05),
+    (True, 1, 0.00013608626745922856, 4.1666666666666665e-05),
+    (True, 2, 0.0021796078472697874, 8.333333333333333e-05),
+    (True, 1, 7.647845860712148e-05, 4.1666666666666665e-05),
+    (True, 1, 0.0006609032614144502, 4.1666666666666665e-05),
+    (True, 1, 0.0010919732186591056, 4.1666666666666665e-05),
+    (True, 1, 0.00018639515377607657, 4.1666666666666665e-05),
+    (True, 3, 0.004494560250532622, 0.000125),
+    (True, 1, 0.0004619884031957265, 4.1666666666666665e-05),
+    (True, 1, 0.00039985950063937026, 4.1666666666666665e-05),
+    (True, 1, 0.000367237129753958, 4.1666666666666665e-05),
+    (True, 1, 0.00024999938645075577, 4.1666666666666665e-05),
+    (True, 2, 0.0018814573872821278, 8.333333333333333e-05),
+    (True, 1, 9.692639583319752e-05, 4.1666666666666665e-05),
+    (True, 1, 0.0002395839631374227, 4.1666666666666665e-05),
+    (True, 2, 0.0007147389423931207, 8.333333333333333e-05),
+]
+
+
+def test_transmit_outcomes_pinned():
+    topo = two_node_topology(p=0.7)
+    med = Medium(topo, Engine(42))
+    outs = [tuple(med.transmit(500, 0, True, 0.0)) for _ in range(20)]
+    assert outs == TRANSMIT_OUTCOMES
+
+
+# (neighbor, link index, arrival time)
+BROADCAST_DELIVERIES = [
+    (1, 0, 0.00017066666666666668),
+    (2, 1, 0.00017066666666666668),
+    (4, 3, 0.00017066666666666668),
+    (1, 0, 0.10017066666666667),
+    (2, 1, 0.10017066666666667),
+    (4, 3, 0.10017066666666667),
+    (1, 0, 0.2001706666666667),
+    (2, 1, 0.2001706666666667),
+    (4, 3, 0.2001706666666667),
+    (1, 0, 0.3001706666666667),
+    (2, 1, 0.3001706666666667),
+    (3, 2, 0.3001706666666667),
+    (4, 3, 0.3001706666666667),
+    (1, 0, 0.4001706666666667),
+    (4, 3, 0.4001706666666667),
+]
+
+
+def test_broadcast_deliveries_pinned():
+    nodes = make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0), (0, -10)])
+    topo = build_topology(nodes, overrides={(0, 1): 0.9, (0, 2): 0.6,
+                                            (0, 3): 0.3, (0, 4): 1.0})
+    eng = Engine(42)
+    med = Medium(topo, eng)
+    got = []
+    for i in range(5):
+        eng.run_until(i * 0.1)
+        med.broadcast(0, 2048, lambda nbr, li, t: got.append((nbr, li, t)))
+    eng.run_until(1.0)
+    assert got == BROADCAST_DELIVERIES
