@@ -11,9 +11,12 @@ link's contention domain, plus a linear per-retry backoff penalty.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
+from itertools import count
+from math import hypot, log
 from typing import Callable, NamedTuple
 
 from .errors import PastTime, UnknownLink
@@ -30,30 +33,26 @@ def rng_stream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-class Event(NamedTuple):
-    time: float
-    seq: int
-    kind: str
-    payload: object          # opaque to the engine; callables are invoked
-
-
 @dataclass
 class EngineStats:
     events_processed: int = 0
     frames_sent: int = 0
     frames_delivered: int = 0
     frames_dropped: int = 0
-    airtime_by_channel: dict[int, float] = field(default_factory=dict)
 
 
 class Engine:
-    """Virtual clock + event queue. Single-threaded per scenario replica."""
+    """Virtual clock + event queue. Single-threaded per scenario replica.
+
+    Heap entries are plain (time, seq, fn) tuples; seq breaks time ties in
+    scheduling order, and fn is called with no arguments.
+    """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0.0
-        self._heap: list[Event] = []
-        self._seq = 0
+        self._heap: list[tuple[float, int, Callable[[], object]]] = []
+        self._seq = count()
         self.stats = EngineStats()
         self._streams: dict[str, random.Random] = {}
 
@@ -64,31 +63,28 @@ class Engine:
             r = self._streams[label] = rng_stream(self.seed, label)
             return r
 
-    def schedule(self, time: float, payload, kind: str = "protocol") -> Event:
+    def schedule(self, time: float, fn) -> None:
         if time < self.now:
             raise PastTime(f"schedule at {time} < now {self.now}")
-        ev = Event(time, self._seq, kind, payload)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
+        heappush(self._heap, (time, next(self._seq), fn))
 
-    def schedule_in(self, delay: float, payload, kind: str = "protocol") -> Event:
-        return self.schedule(self.now + delay, payload, kind)
+    def schedule_in(self, delay: float, fn) -> None:
+        self.schedule(self.now + delay, fn)
 
     def run_until(self, t_end: float) -> EngineStats:
         if t_end < self.now:
             raise PastTime(f"run_until {t_end} < now {self.now}")
         heap = self._heap
-        stats = self.stats
-        while heap and heap[0].time <= t_end:
-            ev = heapq.heappop(heap)
-            self.now = ev.time
-            stats.events_processed += 1
-            payload = ev.payload
-            if callable(payload):
-                payload()
+        n = 0
+        try:
+            while heap and heap[0][0] <= t_end:
+                self.now, _seq, fn = heappop(heap)
+                n += 1
+                fn()
+        finally:
+            self.stats.events_processed += n
         self.now = t_end
-        return stats
+        return self.stats
 
 
 class TransmitOutcome(NamedTuple):
@@ -113,6 +109,8 @@ class Medium:
     Transmissions are attributed to (transmitter node, channel) slots; the
     busy fraction seen by a link sums recent airtime of every slot within
     carrier-sense range of its endpoints, over a bucketed sliding window.
+    Per-direction state is indexed by directed link, 2 * link index for the
+    forward direction and 2 * link index + 1 for the reverse one.
     """
 
     BUCKETS = 5
@@ -129,22 +127,26 @@ class Medium:
                 self._slot_of.setdefault((nid, r.channel), len(self._slot_of))
         n_slots = len(self._slot_of)
         self._bucket_air = [[0.0] * n_slots for _ in range(self.BUCKETS)]
-        self._win_air = [0.0] * n_slots                 # sum over buckets
         self._bucket = 0
+        self._cur_air = self._bucket_air[0]             # current bucket
+        self._win_air = [0.0] * n_slots                 # sum over buckets
         self._bucket_dt = self.params.busy_window / self.BUCKETS
         # per link: transmitter slots that its endpoints can sense
         self._sensed_slots = self._build_sensed_slots()
-        self._busy_cache = [0.0] * len(topo.links)
-        self._busy_cache_t = [-1.0] * len(topo.links)
-        # per directed link serialization
         n = len(topo.links)
-        self._busy_until = [[0.0, 0.0] for _ in range(n)]
-        self._pending = [[0, 0] for _ in range(n)]
+        self._busy_cache = [0.0] * n
+        self._busy_cache_t = [-1.0] * n
+        # per directed link: transmitter slot, serialization, queue length
+        self._tx_slot = []
+        for link in topo.links:
+            self._tx_slot.append(self._slot_of[(link.src, link.channel)])
+            self._tx_slot.append(self._slot_of[(link.dst, link.channel)])
+        self._busy_until = [0.0] * (2 * n)
+        self._pending = [0] * (2 * n)
         self.on_tx_failure: Callable | None = None      # (src, dst, link_idx, t)
-        engine.schedule_in(self._bucket_dt, self._rotate, kind="timer")
+        engine.schedule_in(self._bucket_dt, self._rotate)
 
     def _build_sensed_slots(self):
-        import math
         sensed = []
         nodes = self.topo.nodes
         for link in self.topo.links:
@@ -156,8 +158,8 @@ class Medium:
                     if ch != link.channel:
                         continue
                     other = nodes[nid]
-                    d = math.hypot(other.position[0] - end.position[0],
-                                   other.position[1] - end.position[1])
+                    d = hypot(other.position[0] - end.position[0],
+                              other.position[1] - end.position[1])
                     if d <= cs:
                         slots.add(slot)
             sensed.append(sorted(slots))
@@ -165,22 +167,19 @@ class Medium:
 
     def _rotate(self):
         self._bucket = (self._bucket + 1) % self.BUCKETS
-        old = self._bucket_air[self._bucket]
+        old = self._cur_air = self._bucket_air[self._bucket]
         win = self._win_air
         for i, v in enumerate(old):
             if v:
                 win[i] -= v
                 old[i] = 0.0
-        self.engine.schedule_in(self._bucket_dt, self._rotate, kind="timer")
+        self.engine.schedule_in(self._bucket_dt, self._rotate)
 
     def _record_airtime(self, node: int, channel: int, airtime: float):
         slot = self._slot_of.get((node, channel))
-        if slot is None:
-            return
-        self._bucket_air[self._bucket][slot] += airtime
-        self._win_air[slot] += airtime
-        ch_air = self.engine.stats.airtime_by_channel
-        ch_air[channel] = ch_air.get(channel, 0.0) + airtime
+        if slot is not None:
+            self._cur_air[slot] += airtime
+            self._win_air[slot] += airtime
 
     def busy_fraction(self, link_idx: int) -> float:
         """Measured busy fraction of the link's contention domain, clamped."""
@@ -202,30 +201,37 @@ class Medium:
     def transmit(self, frame_size: float, link_idx: int, forward: bool,
                  t_start: float) -> TransmitOutcome:
         """Bernoulli attempt sequence on one directed link, no queueing."""
-        if link_idx < 0 or link_idx >= len(self.topo.links):
+        links = self.topo.links
+        if link_idx < 0 or link_idx >= len(links):
             raise UnknownLink(f"link index {link_idx}")
         if frame_size <= 0:
             raise ValueError("frame_size must be > 0")
-        link = self.topo.links[link_idx]
+        link = links[link_idx]
         p = link.p_deliver_fwd if forward else link.p_deliver_rev
         air = frame_size / link.capacity
-        b = self.busy_fraction(link_idx)
-        rate = (1.0 - b) / self.params.base_access_delay
-        base = self.params.base_access_delay
-        rng = self._rng
+        if self.engine.now - self._busy_cache_t[link_idx] < 0.05:
+            b = self._busy_cache[link_idx]
+        else:
+            b = self.busy_fraction(link_idx)
+        params = self.params
+        base = params.base_access_delay
+        rate = (1.0 - b) / base
+        random = self._rng.random
         t = t_start
         airtime = 0.0
         delivered = False
         attempts = 0
-        for k in range(self.params.retry_limit):
+        # the access delay is random.expovariate(rate), drawn inline
+        for k in range(params.retry_limit):
             attempts += 1
-            t += rng.expovariate(rate) + k * base + air
+            t += -log(1.0 - random()) / rate + k * base + air
             airtime += air
-            if rng.random() < p:
+            if random() < p:
                 delivered = True
                 break
-        tx_node = link.src if forward else link.dst
-        self._record_airtime(tx_node, link.channel, airtime)
+        slot = self._tx_slot[2 * link_idx + (not forward)]
+        self._cur_air[slot] += airtime
+        self._win_air[slot] += airtime
         return TransmitOutcome(delivered, attempts, t, airtime)
 
     def send_frame(self, link_idx: int, forward: bool, bits: float,
@@ -235,57 +241,63 @@ class Medium:
         on_failed reason is "queue" (tail drop) or "retry" (8 failed
         attempts; also raises the routing failure notification).
         """
-        dirn = 0 if forward else 1
-        stats = self.engine.stats
-        if self._pending[link_idx][dirn] >= self.params.queue_limit:
-            stats.frames_dropped += 1
+        d = 2 * link_idx + (not forward)
+        engine = self.engine
+        if self._pending[d] >= self.params.queue_limit:
+            engine.stats.frames_dropped += 1
             if on_failed is not None:
                 on_failed("queue")
             return
-        now = self.engine.now
-        start = self._busy_until[link_idx][dirn]
-        if start < now:
-            start = now
+        start = self._busy_until[d]
+        if start < engine.now:
+            start = engine.now
         out = self.transmit(bits, link_idx, forward, start)
-        self._busy_until[link_idx][dirn] = out.completion_time
-        self._pending[link_idx][dirn] += 1
-        stats.frames_sent += 1
+        t_done = self._busy_until[d] = out.completion_time
+        self._pending[d] += 1
+        engine.stats.frames_sent += 1
+        if out.delivered:
+            done = partial(self._delivered, d, on_delivered, t_done)
+        else:
+            done = partial(self._failed, d, on_failed, notify_routing, t_done)
+        engine.schedule(t_done, done)
 
-        def complete():
-            self._pending[link_idx][dirn] -= 1
-            if out.delivered:
-                stats.frames_delivered += 1
-                if on_delivered is not None:
-                    on_delivered(out.completion_time)
-            else:
-                stats.frames_dropped += 1
-                if notify_routing and self.on_tx_failure is not None:
-                    link = self.topo.links[link_idx]
-                    self.on_tx_failure(link.transmitter(forward),
-                                       link.receiver(forward),
-                                       link_idx, out.completion_time)
-                if on_failed is not None:
-                    on_failed("retry")
+    def _delivered(self, d, on_delivered, t_done):
+        self._pending[d] -= 1
+        self.engine.stats.frames_delivered += 1
+        if on_delivered is not None:
+            on_delivered(t_done)
 
-        self.engine.schedule(out.completion_time, complete, kind="frame-tx")
+    def _failed(self, d, on_failed, notify_routing, t_done):
+        self._pending[d] -= 1
+        self.engine.stats.frames_dropped += 1
+        if notify_routing and self.on_tx_failure is not None:
+            link_idx = d >> 1
+            link = self.topo.links[link_idx]
+            forward = not d & 1
+            self.on_tx_failure(link.transmitter(forward), link.receiver(forward),
+                               link_idx, t_done)
+        if on_failed is not None:
+            on_failed("retry")
 
     def broadcast(self, node_id: int, bits: float, deliver):
         """One unreliable transmission per radio; no retries, no ACKs.
 
         deliver(neighbor_id, link_idx, t_arrive) fires per reached neighbor.
         """
-        now = self.engine.now
-        rng = self._rng
+        engine = self.engine
+        now = engine.now
+        random = self._rng.random
+        links = self.topo.links
         sent_channels = set()
         for nbr, link_idx, fwd in self.topo.adjacency.get(node_id, ()):
-            link = self.topo.links[link_idx]
+            link = links[link_idx]
             if link.channel not in sent_channels:
                 sent_channels.add(link.channel)
-                self._record_airtime(node_id, link.channel, bits / link.capacity)
-                self.engine.stats.frames_sent += 1
-            p = link.p_deliver(fwd)
-            if rng.random() < p:
+                slot = self._tx_slot[2 * link_idx + (not fwd)]
+                air = bits / link.capacity
+                self._cur_air[slot] += air
+                self._win_air[slot] += air
+                engine.stats.frames_sent += 1
+            if random() < (link.p_deliver_fwd if fwd else link.p_deliver_rev):
                 t_arrive = now + bits / link.capacity
-                self.engine.schedule(t_arrive,
-                                     lambda n=nbr, li=link_idx, t=t_arrive: deliver(n, li, t),
-                                     kind="frame-tx")
+                engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))

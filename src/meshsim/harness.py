@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -133,7 +134,7 @@ class Simulation:
             for cid in sorted(self.clients):
                 self.clients[cid].register(mode="open")
                 self.clients[cid].start_beacons()
-        self.engine.schedule(0.2, bringup, kind="workload")
+        self.engine.schedule(0.2, bringup)
 
     def _pick_pair(self, rng, client_ids):
         src = rng.choice(client_ids)
@@ -165,7 +166,7 @@ class Simulation:
                                           tpl.codec_rate, background=background)
                 except Exception:
                     pass          # offline endpoints: call never happens
-            self.engine.schedule(t, go, kind="workload")
+            self.engine.schedule(t, go)
 
         for i in range(tpl.count):
             place(i, background=False)
@@ -175,8 +176,7 @@ class Simulation:
     def _schedule_actions(self):
         for action in self.scenario.actions:
             self.engine.schedule(float(action["at"]),
-                                 lambda a=action: self._run_action(a),
-                                 kind="workload")
+                                 lambda a=action: self._run_action(a))
 
     def _run_action(self, a):
         kind = a["kind"]
@@ -211,7 +211,7 @@ class Simulation:
             for l, pf, pr in saved:
                 l.p_deliver_fwd = pf
                 l.p_deliver_rev = pr
-        self.engine.schedule_in(duration, restore, kind="workload")
+        self.engine.schedule_in(duration, restore)
 
     # -- execution -----------------------------------------------------------
 
@@ -236,7 +236,12 @@ class Simulation:
 
 
 def run_scenario(scenario: Scenario, seed: int) -> MetricsReport:
-    return Simulation(scenario, seed).run()
+    report = Simulation(scenario, seed).run()
+    # A finished replica is a knot of reference cycles (routers' peer maps,
+    # server <-> clients, self-rescheduling timers, pending events) that only
+    # a full collection frees; collect now so replicas do not pile up.
+    gc.collect()
+    return report
 
 
 @dataclass

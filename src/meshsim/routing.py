@@ -394,7 +394,8 @@ class Router:
                 self._recompute(self.engine.now)
                 r = self.table.get(dest)
             return r
-        nl = self.neighbors.get(r.next_hop, {}).get(r.link_idx)
+        links = self.neighbors.get(r.next_hop)
+        nl = None if links is None else links.get(r.link_idx)
         if nl is None or self.engine.now < nl.suppressed_until:
             self._recompute(self.engine.now)
             r = self.table.get(dest)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (AuthError, CalleeOffline, DurationExceeded, NoRoute,
                      ReceiverUnknown, SenderOffline, UnknownSession)
@@ -153,12 +154,17 @@ class MeshTransport:
         if src_node == dst_node:
             if deliver is not None:
                 now = self.engine.now
-                self.engine.schedule(now, lambda: deliver(now))
+                self.engine.schedule(now, partial(deliver, now))
             return
         self._forward(src_node, dst_node, bits + self.header_bits,
                       deliver, self.TTL)
 
-    def _forward(self, node, dst_node, frame_bits, deliver, ttl):
+    def _forward(self, node, dst_node, frame_bits, deliver, ttl, _t=None):
+        """Send one hop from node toward dst_node.
+
+        Relaying re-enters here as the previous hop's on_delivered callback,
+        which passes the arrival time as _t.
+        """
         if ttl <= 0:
             self.no_route_drops += 1
             return
@@ -166,14 +172,11 @@ class MeshTransport:
         if route is None or route.link_idx < 0:
             self.no_route_drops += 1
             return
-        if route.next_hop == dst_node and deliver is not None:
-            self.medium.send_frame(route.link_idx, route.forward, frame_bits,
-                                   on_delivered=deliver)
-        else:
-            self.medium.send_frame(
-                route.link_idx, route.forward, frame_bits,
-                on_delivered=lambda t, nh=route.next_hop: self._forward(
-                    nh, dst_node, frame_bits, deliver, ttl - 1))
+        next_hop = route.next_hop
+        if next_hop != dst_node or deliver is None:
+            deliver = partial(self._forward, next_hop, dst_node, frame_bits,
+                              deliver, ttl - 1)
+        self.medium.send_frame(route.link_idx, route.forward, frame_bits, deliver)
 
 
 @dataclass
@@ -242,13 +245,15 @@ class FlowRunner:
         self.stopped = True
 
     def _tick(self):
-        now = self.net.now()
+        net = self.net
+        now = net.now()
         if self.stopped or now >= self.t_end:
             return
-        self.record.on_send(now)
-        self.net.send(self.src_node, self.dst_node, self.packet_bits,
-                      lambda t, t0=now: self.record.on_recv(t0, t))
-        self.net.schedule(now + self.interval, self._tick)
+        record = self.record
+        record.on_send(now)
+        net.send(self.src_node, self.dst_node, self.packet_bits,
+                 partial(record.on_recv, now))
+        net.schedule(now + self.interval, self._tick)
 
 
 class Server:
