@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from scipy import stats as _scipy_stats
 
 from .engine import Engine, EngineStats, Medium
-from .errors import IoError, TooFewSamples
+from .errors import CalleeOffline, IoError, SenderOffline, TooFewSamples
 from .routing import Router, wire_network
 from .scenario import Scenario
 from .services import Client, MeshTransport, Server, ServiceStack
@@ -86,7 +86,13 @@ class MetricsReport:
 
 
 class Simulation:
-    """One scenario replica, fully isolated; safe to run many in parallel."""
+    """One scenario replica with its own engine, routers and services.
+
+    Not yet isolated from other replicas of the same Scenario: an outage
+    action writes into the shared Link objects of scenario.topology, so
+    replicas must not run in parallel on one Scenario, and an outage still
+    open when a run ends leaks into the next run on it.
+    """
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -164,7 +170,7 @@ class Simulation:
                 try:
                     self.stack.start_call(src, dst, tpl.duration,
                                           tpl.codec_rate, background=background)
-                except Exception:
+                except (SenderOffline, CalleeOffline):
                     pass          # offline endpoints: call never happens
             self.engine.schedule(t, go)
 
@@ -179,6 +185,12 @@ class Simulation:
                                  lambda a=action: self._run_action(a))
 
     def _run_action(self, a):
+        try:
+            self._dispatch_action(a)
+        except (SenderOffline, CalleeOffline):
+            pass          # offline endpoints: the action never happens
+
+    def _dispatch_action(self, a):
         kind = a["kind"]
         if kind == "sms":
             self.clients[a["src"]].send_sms(a["dst"], a.get("size"))

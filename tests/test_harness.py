@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
 from meshsim.errors import TooFewSamples
-from meshsim.harness import (ExperimentResult, compute_jitter,
+from meshsim.harness import (ExperimentResult, Simulation, compute_jitter,
                              confidence_interval, count_trend_violations,
                              export, run_scenario, single_run_result, sweep)
 from meshsim.scenario import Scenario
+from meshsim.services import ServiceStack
 
 
 def tiny_scenario(calls=0, bg=0, retry_limit=8, p=1.0, duration=25.0,
@@ -121,6 +123,26 @@ def test_warmup_excluded_from_measurement():
     report = run_scenario(tiny_scenario(calls=1), seed=1)
     scn = tiny_scenario(calls=1)
     assert all(f.measure_from == scn.warmup for f in report.flows)
+
+
+def test_sms_from_offline_client_is_skipped():
+    # bringup registers the clients at t=0.2, so cA is still offline at 0.1
+    scn = dataclasses.replace(tiny_scenario(calls=1), actions=[
+        {"at": 0.1, "kind": "sms", "src": "cA", "dst": "cB"},
+        {"at": 12.0, "kind": "sms", "src": "cA", "dst": "cB"}])
+    sim = Simulation(scn, seed=1)
+    report = sim.run()
+    assert report.aggregate()["pdr"] > 0.95
+    assert [m.msg_id for m in sim.clients["cB"].inbox] == ["cA/sms/1"]
+
+
+def test_call_setup_bug_escapes_run(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in call setup")
+    monkeypatch.setattr(ServiceStack, "start_call", broken)
+    sim = Simulation(tiny_scenario(calls=1), seed=1)
+    with pytest.raises(RuntimeError, match="bug in call setup"):
+        sim.run()
 
 
 # -- sweeps -------------------------------------------------------------------
