@@ -209,6 +209,7 @@ class Medium:
         link = links[link_idx]
         p = link.p_deliver_fwd if forward else link.p_deliver_rev
         air = frame_size / link.capacity
+        # busy_fraction's cache check, inlined: most frames hit the cache
         if self.engine.now - self._busy_cache_t[link_idx] < 0.05:
             b = self._busy_cache[link_idx]
         else:
