@@ -127,9 +127,9 @@ class Medium:
                 self._slot_of.setdefault((nid, r.channel), len(self._slot_of))
         n_slots = len(self._slot_of)
         self._bucket_air = [[0.0] * n_slots for _ in range(self.BUCKETS)]
+        self._win_air = [0.0] * n_slots                 # sum over buckets
         self._bucket = 0
         self._cur_air = self._bucket_air[0]             # current bucket
-        self._win_air = [0.0] * n_slots                 # sum over buckets
         self._bucket_dt = self.params.busy_window / self.BUCKETS
         # per link: transmitter slots that its endpoints can sense
         self._sensed_slots = self._build_sensed_slots()
