@@ -19,7 +19,7 @@ from itertools import count
 from math import hypot, log
 from typing import Callable, NamedTuple
 
-from .errors import PastTime, UnknownLink
+from .errors import PastTime, UnknownLink, check_ranges
 from .topology import Topology
 
 
@@ -101,6 +101,11 @@ class MacParams:
     queue_limit: int = 50             # frames per directed link
     busy_window: float = 5.0          # seconds, sliding measurement window
     b_max: float = 0.99
+    header_bits: int = 320            # per-frame overhead added by the transport
+
+    def __post_init__(self):
+        check_ranges(self, positive=("retry_limit", "base_access_delay", "busy_window"),
+                     nonnegative=("queue_limit", "header_bits"))
 
 
 class Medium:

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the simulator."""
+"""Exception hierarchy shared across the simulator, and a range check."""
+
+
+def check_ranges(obj, positive=(), nonnegative=()):
+    """Raise ValueError for the first named attribute of obj out of range."""
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(obj, name)!r}")
+    for name in nonnegative:
+        if not getattr(obj, name) >= 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(obj, name)!r}")
 
 
 class MeshSimError(Exception):

@@ -101,8 +101,6 @@ class Simulation:
         self.topo = scenario.topology
         self.medium = Medium(self.topo, self.engine, scenario.mac)
         servers = self.topo.server_nodes()
-        if not servers:
-            raise ValueError("scenario topology declares no server node")
         self.routers = {}
         node_ids = sorted(self.topo.nodes)
         for i, nid in enumerate(node_ids):
@@ -115,7 +113,7 @@ class Simulation:
         for i, nid in enumerate(node_ids):
             self.routers[nid].start(phase=i * phase_step)
         self.transport = MeshTransport(self.engine, self.topo, self.medium,
-                                       self.routers, scenario.header_bits)
+                                       self.routers)
         self.ledger = scenario.make_ledger()
         self.server = Server(self.transport, servers[0], scenario.services,
                              ledger=self.ledger)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DeadLink
+from .errors import DeadLink, check_ranges
 
 #: delivery-ratio floor below which a link is unusable for routing
 DEAD_RATIO = 0.01
@@ -29,8 +29,7 @@ class ElpParams:
             raise ValueError(f"w must be in (0.5, 1], got {self.w}")
         if not 0.0 < self.b_max < 1.0:
             raise ValueError(f"b_max must be in (0, 1), got {self.b_max}")
-        if self.ref_rate <= 0:
-            raise ValueError("ref_rate must be > 0")
+        check_ranges(self, positive=("ref_rate",))
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
 

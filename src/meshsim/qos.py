@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NoRoute, UnknownFlow
+from .errors import NoRoute, UnknownFlow, check_ranges
 from .topology import Topology
 
 
@@ -26,10 +26,7 @@ class FlowSpec:
     kind: str = "voice"       # voice | video | background
 
     def __post_init__(self):
-        if self.demand <= 0:
-            raise ValueError("demand must be > 0")
-        if self.packet_size <= 0:
-            raise ValueError("packet_size must be > 0")
+        check_ranges(self, positive=("demand", "packet_size"))
 
 
 @dataclass

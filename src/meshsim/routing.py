@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import metrics
-from .errors import DeadLink, NoGateway
+from .errors import DeadLink, NoGateway, check_ranges
 from .metrics import ElpParams, LinkStats
 
 
@@ -34,6 +34,11 @@ class RoutingParams:
     control_bits: int = 2048          # HELLO/TC/HNA frame size (256 bytes)
     long_term_alpha: float = 0.05     # slow EWMA feeding the long-term score
     metric: str = "elp"               # elp | hop_count
+
+    def __post_init__(self):
+        check_ranges(self, positive=("hello_interval", "tc_interval", "hold_multiplier",
+                                     "recompute_interval", "control_bits"),
+                     nonnegative=("suppress_duration",))
 
 
 @dataclass

@@ -1,61 +1,130 @@
 """Scenario files: strict structured-text configuration for experiments.
 
 YAML with four sections (topology, protocol, workload, run). Unknown keys
-are hard errors: silent typos in field configs are how deployments die, so
-the loader fails loud and reports every problem it can find at once.
+and mistyped values are hard errors: silent typos in field configs are how
+deployments die, so the loader fails loud and reports every problem it can
+find at once. A section backed by a parameter dataclass takes its keys and
+types from that dataclass's fields, so the schema cannot drift from the code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import functools
+import math
+import re
+import types
+import typing
+from dataclasses import dataclass
 
 import yaml
 
 from .engine import MacParams
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_ranges
 from .metrics import ElpParams
 from .qos import AdmissionLedger
 from .routing import RoutingParams
 from .services import ServiceParams
 from .topology import NodeSpec, PropagationModel, RadioSpec, Topology, build_topology
 
-_RADIO_KEYS = {"channel", "nominal_rate", "tx_range", "cs_range", "role"}
-_NODE_KEYS = {"id", "position", "radios", "is_server"}
-_TOPOLOGY_KEYS = {"nodes", "link_overrides", "link_deletions", "propagation"}
-_OVERRIDE_KEYS = {"a", "b", "channel", "p", "p_fwd", "p_rev"}
-_PROP_KEYS = {"p_max", "p_min", "knee"}
-_PROTOCOL_KEYS = {"metric", "elp", "routing", "engine", "qos", "services"}
-_ROUTING_KEYS = {"hello_interval", "tc_interval", "hold_multiplier", "hysteresis",
-                 "recompute_interval", "maintenance", "long_term_threshold",
-                 "suppress_duration", "max_suppressions", "strike_window",
-                 "control_bits", "long_term_alpha"}
-_ELP_KEYS = {"w", "b_max", "ref_rate", "ewma_alpha"}
-_ENGINE_KEYS = {"retry_limit", "base_access_delay", "queue_limit", "busy_window",
-                "b_max", "header_bits"}
-_QOS_KEYS = {"u_max", "goodput_factor"}
-_SERVICE_KEYS = {"ack_timeout", "presence_timeout", "beacon_interval",
-                 "max_transmissions", "voice_rate", "voice_packet_bits",
-                 "video_rate", "video_answer_timeout", "broadcast_limit",
-                 "sms_bits", "ack_bits"}
-_WORKLOAD_KEYS = {"clients", "calls", "actions"}
-_CLIENT_KEYS = {"id", "attach", "position", "video_answer"}
-_CALLS_KEYS = {"count", "background", "duration", "codec_rate", "start", "stagger"}
-_ACTION_KEYS = {"at", "kind", "src", "dst", "client", "node", "size", "chunk_size",
-                "duration", "a", "b", "response"}
-_ACTION_KINDS = {"sms", "file", "call", "broadcast_audio", "video_request",
-                 "attach", "outage"}
-_RUN_KEYS = {"duration", "warmup", "seeds"}
-_TOP_KEYS = {"topology", "protocol", "workload", "run"}
+_TOP_TYPES = {"topology": dict, "protocol": dict, "workload": dict, "run": dict}
+_TOPOLOGY_TYPES = {"nodes": list[NodeSpec], "link_overrides": list,
+                   "link_deletions": list[list[int]], "propagation": PropagationModel}
+_PROTOCOL_TYPES = {"metric": str, "elp": ElpParams, "routing": dict,
+                   "engine": MacParams, "qos": dict, "services": ServiceParams}
+_OVERRIDE_TYPES = {"a": int, "b": int, "channel": int, "p": float, "p_fwd": float,
+                   "p_rev": float}
+_QOS_TYPES = {"u_max": float, "goodput_factor": float}
+_RUN_TYPES = {"duration": float, "warmup": float, "seeds": list[int]}
+_ACTION_TYPES = {"at": float, "kind": str, "src": str, "dst": str, "client": str,
+                 "node": int, "size": float, "chunk_size": float, "duration": float,
+                 "a": int, "b": int, "response": str}
+# action kind -> keys it needs besides at and kind
+_ACTION_NEEDS = {"sms": ("src", "dst"), "file": ("src", "dst", "size", "chunk_size"),
+                 "call": ("src", "dst"), "broadcast_audio": ("duration",),
+                 "video_request": ("src", "dst"), "attach": ("client", "node"),
+                 "outage": ("a", "b")}
+
+_BAD = object()
 
 
-def _check_keys(d, allowed, path, problems):
-    if not isinstance(d, dict):
-        problems.append(f"{path}: expected a mapping")
+def _value(value, hint, path, problems):
+    """value checked against a type hint; on failure a problem and _BAD.
+
+    A dataclass hint builds that dataclass from a mapping. Numbers must be
+    finite, an int passes where a float is expected, and a bool passes only
+    where a bool is expected. Bad items of a variable-length list or tuple
+    are reported and dropped.
+    """
+    if dataclasses.is_dataclass(hint):
+        built = _params(hint, value, path, problems)
+        return _BAD if built is None else built
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        hint, = (a for a in args if a is not type(None))
+        return _value(value, hint, path, problems)
+    fixed_len = origin is tuple and args[-1] is not Ellipsis
+    if origin in (list, tuple) and isinstance(value, (list, tuple)) and (
+            not fixed_len or len(value) == len(args)):
+        items = [_value(v, args[0], f"{path}[{i}]", problems)
+                 for i, v in enumerate(value)]
+        if fixed_len and any(v is _BAD for v in items):
+            return _BAD
+        return origin(v for v in items if v is not _BAD)
+    if origin is None and isinstance(value, bool) == (hint is bool):
+        if hint is float and isinstance(value, int):
+            value = float(value)
+        if isinstance(value, hint) and (hint is not float or math.isfinite(value)):
+            return value
+    # drop module paths: list[meshsim.topology.NodeSpec] -> list[NodeSpec]
+    name = re.sub(r"\w+\.", "", hint.__name__ if isinstance(hint, type) else str(hint))
+    problems.append(f"{path}: expected {name}, got {value!r}")
+    return _BAD
+
+
+def _mapping(raw, hints, path, problems, required=()) -> dict:
+    """Typed copy of one mapping; unknown keys, bad values and missing
+    required keys are recorded in problems and left out."""
+    if not isinstance(raw, dict):
+        problems.append(f"{path}: expected a mapping, got {raw!r}")
         return {}
-    for k in d:
-        if k not in allowed:
-            problems.append(f"{path}.{k}: unknown key")
-    return d
+    out = {}
+    for key, value in raw.items():
+        if key not in hints:
+            problems.append(f"{path}.{key}: unknown key")
+            continue
+        got = _value(value, hints[key], f"{path}.{key}", problems)
+        if got is not _BAD:
+            out[key] = got
+    problems.extend(f"{path}: missing key {k!r}" for k in required if k not in raw)
+    return out
+
+
+_hints = functools.cache(typing.get_type_hints)    # evaluating annotations is slow
+
+
+def _params(cls, raw, path, problems, **fixed):
+    """Build the dataclass cls from a mapping, or return None.
+
+    The allowed keys and their types are cls's fields, less the ones the
+    caller fixes; fields without a default are required. A ValueError from
+    cls's own checks is recorded like any other problem.
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    before = len(problems)
+    kwargs = _mapping(raw, {f.name: _hints(cls)[f.name] for f in fields}, path,
+                      problems, required)
+    if len(problems) > before:
+        return None
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as e:
+        problems.append(f"{path}: {e}")
+        return None
 
 
 @dataclass
@@ -67,6 +136,12 @@ class CallTemplate:
     start: float | None = None        # default: warmup end
     stagger: float = 0.05
 
+    def __post_init__(self):
+        check_ranges(self, positive=("duration", "codec_rate"),
+                     nonnegative=("count", "background", "stagger"))
+        if self.start is not None and self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start!r}")
+
 
 @dataclass
 class ClientDef:
@@ -76,15 +151,16 @@ class ClientDef:
     video_answer: str = "accept"
 
 
+_WORKLOAD_TYPES = {"clients": list[ClientDef], "calls": CallTemplate, "actions": list}
+
+
 @dataclass
 class Scenario:
     name: str
     topology: Topology
-    metric: str
     elp: ElpParams
     routing: RoutingParams
     mac: MacParams
-    header_bits: int
     qos_u_max: float
     qos_goodput: float
     services: ServiceParams
@@ -118,142 +194,110 @@ def load_scenario(path) -> Scenario:
 
 def _build(raw, name) -> Scenario:
     problems: list[str] = []
-    _check_keys(raw, _TOP_KEYS, "scenario", problems)
-    topo_raw = _check_keys(raw.get("topology", {}), _TOPOLOGY_KEYS, "topology", problems)
-    proto = _check_keys(raw.get("protocol", {}), _PROTOCOL_KEYS, "protocol", problems)
-    workload = _check_keys(raw.get("workload", {}), _WORKLOAD_KEYS, "workload", problems)
-    run = _check_keys(raw.get("run", {}), _RUN_KEYS, "run", problems)
+    top = _mapping(raw, _TOP_TYPES, "scenario", problems)
+    topo = _mapping(top.get("topology", {}), _TOPOLOGY_TYPES, "topology", problems)
+    proto = _mapping(top.get("protocol", {}), _PROTOCOL_TYPES, "protocol", problems)
+    workload = _mapping(top.get("workload", {}), _WORKLOAD_TYPES, "workload", problems)
+    run = _mapping(top.get("run", {}), _RUN_TYPES, "run", problems)
 
     # topology
-    nodes = []
-    for i, n in enumerate(topo_raw.get("nodes", [])):
-        _check_keys(n, _NODE_KEYS, f"topology.nodes[{i}]", problems)
-        radios = []
-        for j, r in enumerate(n.get("radios", [])):
-            _check_keys(r, _RADIO_KEYS, f"topology.nodes[{i}].radios[{j}]", problems)
-            try:
-                radios.append(RadioSpec(int(r["channel"]), float(r["nominal_rate"]),
-                                        float(r["tx_range"]), float(r["cs_range"]),
-                                        r.get("role", "backbone")))
-            except (KeyError, TypeError, ValueError) as e:
-                problems.append(f"topology.nodes[{i}].radios[{j}]: {e}")
-        try:
-            nodes.append(NodeSpec(int(n["id"]), tuple(map(float, n["position"])),
-                                  tuple(radios), bool(n.get("is_server", False))))
-        except (KeyError, TypeError, ValueError) as e:
-            problems.append(f"topology.nodes[{i}]: {e}")
-
-    ids_seen = set()
+    nodes = topo.get("nodes", [])
+    node_ids = set()
     for n in nodes:
-        if n.id in ids_seen:
+        if n.id in node_ids:
             problems.append(f"topology.nodes: duplicate node id {n.id}")
-        ids_seen.add(n.id)
+        node_ids.add(n.id)
+    if not any(n.is_server for n in nodes):
+        problems.append("topology.nodes: no node is a server")
 
     overrides = {}
-    for i, ov in enumerate(topo_raw.get("link_overrides", [])):
-        _check_keys(ov, _OVERRIDE_KEYS, f"topology.link_overrides[{i}]", problems)
-        try:
-            a, b = int(ov["a"]), int(ov["b"])
-            lo, hi = min(a, b), max(a, b)
-            key = (lo, hi, int(ov["channel"])) if "channel" in ov else (lo, hi)
-            if "p" in ov:
-                overrides[key] = float(ov["p"])
-            else:
-                # p_fwd refers to the low-id -> high-id direction
-                p_ab, p_ba = float(ov["p_fwd"]), float(ov["p_rev"])
-                overrides[key] = (p_ab, p_ba) if a == lo else (p_ba, p_ab)
-        except (KeyError, TypeError, ValueError) as e:
-            problems.append(f"topology.link_overrides[{i}]: {e}")
+    for i, ov in enumerate(topo.get("link_overrides", [])):
+        path = f"topology.link_overrides[{i}]"
+        ov = _mapping(ov, _OVERRIDE_TYPES, path, problems, required=("a", "b"))
+        if "a" not in ov or "b" not in ov:
+            continue
+        a, b = ov["a"], ov["b"]
+        lo, hi = min(a, b), max(a, b)
+        key = (lo, hi, ov["channel"]) if "channel" in ov else (lo, hi)
+        if "p" in ov:
+            overrides[key] = ov["p"]
+        elif "p_fwd" in ov and "p_rev" in ov:
+            # p_fwd refers to the a -> b direction; links store low -> high
+            p_ab, p_ba = ov["p_fwd"], ov["p_rev"]
+            overrides[key] = (p_ab, p_ba) if a == lo else (p_ba, p_ab)
+        else:
+            problems.append(f"{path}: needs p, or p_fwd and p_rev")
 
-    deletions = []
-    for i, d in enumerate(topo_raw.get("link_deletions", [])):
-        try:
-            deletions.append(tuple(int(x) for x in d))
-        except (TypeError, ValueError) as e:
-            problems.append(f"topology.link_deletions[{i}]: {e}")
-
-    prop_raw = _check_keys(topo_raw.get("propagation", {}), _PROP_KEYS,
-                           "topology.propagation", problems)
-    propagation = PropagationModel(**{k: float(v) for k, v in prop_raw.items()})
+    deletions = [tuple(d) for d in topo.get("link_deletions", [])]
+    problems.extend(f"topology.link_deletions: {list(d)} is not [a, b] or "
+                    f"[a, b, channel]" for d in deletions if len(d) not in (2, 3))
 
     # protocol
     metric = proto.get("metric", "elp")
     if metric not in ("elp", "hop_count"):
         problems.append(f"protocol.metric: must be elp or hop_count, got {metric!r}")
-    elp_raw = _check_keys(proto.get("elp", {}), _ELP_KEYS, "protocol.elp", problems)
-    routing_raw = _check_keys(proto.get("routing", {}), _ROUTING_KEYS,
-                              "protocol.routing", problems)
-    engine_raw = _check_keys(proto.get("engine", {}), _ENGINE_KEYS,
-                             "protocol.engine", problems)
-    qos_raw = _check_keys(proto.get("qos", {}), _QOS_KEYS, "protocol.qos", problems)
-    svc_raw = _check_keys(proto.get("services", {}), _SERVICE_KEYS,
-                          "protocol.services", problems)
+    routing = _params(RoutingParams, proto.get("routing", {}), "protocol.routing",
+                      problems, metric=metric)
+    qos = _mapping(proto.get("qos", {}), _QOS_TYPES, "protocol.qos", problems)
+    if qos.get("goodput_factor", 0.8) <= 0:
+        problems.append("protocol.qos.goodput_factor: must be > 0")
 
     # workload
-    clients = []
+    clients = workload.get("clients", [])
     client_ids = set()
-    for i, c in enumerate(workload.get("clients", [])):
-        _check_keys(c, _CLIENT_KEYS, f"workload.clients[{i}]", problems)
-        try:
-            cd = ClientDef(str(c["id"]), int(c["attach"]),
-                           tuple(c.get("position", (0.0, 0.0))),
-                           c.get("video_answer", "accept"))
-            if cd.id in client_ids:
-                problems.append(f"workload.clients[{i}]: duplicate client id {cd.id!r}")
-            client_ids.add(cd.id)
-            clients.append(cd)
-        except (KeyError, TypeError, ValueError) as e:
-            problems.append(f"workload.clients[{i}]: {e}")
-
-    calls_raw = _check_keys(workload.get("calls", {}), _CALLS_KEYS,
-                            "workload.calls", problems)
-    calls = CallTemplate(**{k: v for k, v in calls_raw.items()})
-
-    actions = []
-    for i, a in enumerate(workload.get("actions", [])):
-        _check_keys(a, _ACTION_KEYS, f"workload.actions[{i}]", problems)
-        kind = a.get("kind")
-        if kind not in _ACTION_KINDS:
-            problems.append(f"workload.actions[{i}].kind: unknown kind {kind!r}")
-            continue
-        for ref_key in ("src", "dst", "client"):
-            if ref_key in a and a[ref_key] not in client_ids:
-                problems.append(
-                    f"workload.actions[{i}].{ref_key}: undefined client {a[ref_key]!r}")
-        actions.append(dict(a))
-
-    duration = float(run.get("duration", 60.0))
-    warmup = float(run.get("warmup", 15.0))
-    seeds = [int(s) for s in run.get("seeds", [1])]
-    if duration <= warmup:
-        problems.append(f"run.duration ({duration}) must exceed run.warmup ({warmup})")
-
-    node_ids = {n.id for n in nodes}
     for c in clients:
+        if c.id in client_ids:
+            problems.append(f"workload.clients: duplicate client id {c.id!r}")
         if c.attach not in node_ids:
             problems.append(f"workload.clients: client {c.id!r} attaches to "
                             f"undefined node {c.attach}")
+        client_ids.add(c.id)
+
+    actions = []
+    for i, a in enumerate(workload.get("actions", [])):
+        path = f"workload.actions[{i}]"
+        act = _mapping(a, _ACTION_TYPES, path, problems, required=("at", "kind"))
+        kind = act.get("kind")
+        if kind is not None and kind not in _ACTION_NEEDS:
+            problems.append(f"{path}.kind: unknown kind {kind!r}")
+            continue
+        problems.extend(f"{path}: {kind} needs key {k!r}"
+                        for k in _ACTION_NEEDS.get(kind, ()) if k not in a)
+        for key, value in act.items():
+            if key in ("src", "dst", "client") and value not in client_ids:
+                problems.append(f"{path}.{key}: undefined client {value!r}")
+            elif key == "node" and value not in node_ids:
+                problems.append(f"{path}.node: undefined node {value!r}")
+            elif key in ("size", "chunk_size", "duration") and value <= 0:
+                problems.append(f"{path}.{key}: must be > 0, got {value!r}")
+        if act.get("at", 0.0) < 0:
+            problems.append(f"{path}.at: must be >= 0, got {act['at']!r}")
+        actions.append(act)
+
+    duration = run.get("duration", 60.0)
+    warmup = run.get("warmup", 15.0)
+    if warmup < 0:
+        problems.append(f"run.warmup: must be >= 0, got {warmup}")
+    if duration <= warmup:
+        problems.append(f"run.duration ({duration}) must exceed run.warmup ({warmup})")
 
     if problems:
         raise ValidationError(problems)
 
-    topology = build_topology(nodes, overrides, deletions, propagation)
-
     return Scenario(
         name=name,
-        topology=topology,
-        metric=metric,
-        elp=ElpParams(**{k: float(v) for k, v in elp_raw.items()}),
-        routing=RoutingParams(metric=metric, **routing_raw),
-        mac=MacParams(**{k: v for k, v in engine_raw.items() if k != "header_bits"}),
-        header_bits=int(engine_raw.get("header_bits", 320)),
-        qos_u_max=float(qos_raw.get("u_max", 0.85)),
-        qos_goodput=float(qos_raw.get("goodput_factor", 0.8)),
-        services=ServiceParams(**svc_raw),
+        topology=build_topology(nodes, overrides, deletions,
+                                topo.get("propagation", PropagationModel())),
+        elp=proto.get("elp", ElpParams()),
+        routing=routing,
+        mac=proto.get("engine", MacParams()),
+        qos_u_max=qos.get("u_max", 0.85),
+        qos_goodput=qos.get("goodput_factor", 0.8),
+        services=proto.get("services", ServiceParams()),
         clients=clients,
-        calls=calls,
+        calls=workload.get("calls", CallTemplate()),
         actions=actions,
         duration=duration,
         warmup=warmup,
-        seeds=seeds,
+        seeds=run.get("seeds", [1]),
     )

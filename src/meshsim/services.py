@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import (AuthError, CalleeOffline, DurationExceeded, NoRoute,
-                     ReceiverUnknown, SenderOffline, UnknownSession)
+                     ReceiverUnknown, SenderOffline, UnknownSession, check_ranges)
 from .qos import Admit, FlowSpec, Reject
 
 
@@ -38,6 +38,10 @@ class ServiceParams:
     broadcast_limit: float = 120.0    # seconds of recorded audio
     broadcast_rate: float = 24000.0   # AMR-ish audio stream
     broadcast_packet_bits: int = 960
+
+    def __post_init__(self):
+        check_ranges(self, nonnegative=("video_answer_delay",),
+                     positive=[k for k in vars(self) if k != "video_answer_delay"])
 
 
 @dataclass
@@ -136,12 +140,12 @@ class MeshTransport:
 
     TTL = 32
 
-    def __init__(self, engine, topo, medium, routers, header_bits: int = 320):
+    def __init__(self, engine, topo, medium, routers):
         self.engine = engine
         self.topo = topo
         self.medium = medium
         self.routers = routers
-        self.header_bits = header_bits
+        self.header_bits = medium.params.header_bits
         self.no_route_drops = 0
 
     def now(self):

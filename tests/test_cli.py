@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import yaml
 
+import meshsim
 from meshsim.cli import _parse_range, main
 
 
@@ -75,3 +80,17 @@ def test_sweep_writes_grid(tmp_path):
     body = (out_dir / "tiny.csv").read_text()
     for cell in ("1,0,", "1,1,", "2,0,", "2,1,"):
         assert any(line.startswith(cell) for line in body.splitlines())
+
+
+def test_validate_out_of_range_value_exits_one(tmp_path):
+    path = write_tiny(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["protocol"] = {"elp": {"w": 0.3}}
+    path.write_text(yaml.safe_dump(raw))
+    src = os.path.dirname(os.path.dirname(meshsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "meshsim.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "scenario error" in proc.stderr and "protocol.elp" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -147,7 +147,7 @@ def test_protocol_overrides_flow_through():
     assert scn.routing.hello_interval == 0.5
     assert scn.routing.maintenance is False
     assert scn.mac.retry_limit == 3
-    assert scn.header_bits == 400
+    assert scn.mac.header_bits == 400
     assert scn.qos_u_max == 0.5
     assert scn.services.ack_timeout == 1.0
 
@@ -157,3 +157,37 @@ def test_bad_metric_name():
     raw["protocol"] = {"metric": "etx"}
     with pytest.raises(ValidationError, match="etx"):
         Scenario.from_dict(raw)
+
+
+def test_every_service_param_is_a_key():
+    raw = minimal_dict()
+    raw["protocol"] = {"services": {
+        "beacon_bits": 256, "control_bits": 640, "video_packet_bits": 4000,
+        "video_answer_delay": 0.25, "broadcast_rate": 12000,
+        "broadcast_packet_bits": 480}}
+    svc = Scenario.from_dict(raw).services
+    assert svc.beacon_bits == 256 and svc.control_bits == 640
+    assert svc.video_packet_bits == 4000
+    assert svc.video_answer_delay == 0.25
+    assert svc.broadcast_rate == 12000.0
+    assert svc.broadcast_packet_bits == 480
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("protocol", "routing", {"metric": "hop_count"}, "protocol.routing.metric"),
+    ("workload", "calls", {"count": "many"}, "workload.calls.count"),
+    ("protocol", "elp", {"w": 0.3}, "protocol.elp"),
+    ("protocol", "routing", {"hello_interval": "fast"},
+     "protocol.routing.hello_interval"),
+    ("topology", "propagation", {"p_max": "x"}, "topology.propagation.p_max"),
+    ("protocol", "qos", {"u_max": "high"}, "protocol.qos.u_max"),
+    ("run", "seeds", "abc", "run.seeds"),
+    ("topology", "nodes", 5, "topology.nodes"),
+    ("workload", "actions", [5], "workload.actions[0]"),
+])
+def test_malformed_value_names_its_path(section, key, value, path):
+    raw = minimal_dict()
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert any(p.startswith(path) for p in exc.value.problems), exc.value.problems
