@@ -20,6 +20,7 @@ from math import hypot, log
 from typing import Callable, NamedTuple
 
 from .errors import PastTime, UnknownLink, check_ranges
+from .metrics import BUSY_MAX
 from .topology import Topology
 
 
@@ -100,7 +101,6 @@ class MacParams:
     base_access_delay: float = 5e-4   # seconds, mean at idle channel
     queue_limit: int = 50             # frames per directed link
     busy_window: float = 5.0          # seconds, sliding measurement window
-    b_max: float = 0.99
     header_bits: int = 320            # per-frame overhead added by the transport
 
     def __post_init__(self):
@@ -197,8 +197,8 @@ class Medium:
         for s in self._sensed_slots[link_idx]:
             air += win[s]
         b = air / self.params.busy_window
-        if b > self.params.b_max:
-            b = self.params.b_max
+        if b > BUSY_MAX:
+            b = BUSY_MAX
         self._busy_cache[link_idx] = b
         self._busy_cache_t[link_idx] = now
         return b

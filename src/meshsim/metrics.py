@@ -15,20 +15,19 @@ from .errors import DeadLink, check_ranges
 
 #: delivery-ratio floor below which a link is unusable for routing
 DEAD_RATIO = 0.01
+#: busy-fraction clamp; keeps the interference factor 1 / (1 - busy) finite
+BUSY_MAX = 0.99
 
 
 @dataclass
 class ElpParams:
     w: float = 0.75           # asymmetry corrective constant, (0.5, 1]
-    b_max: float = 0.99       # busy fraction clamp
     ref_rate: float = 12e6    # bits/s normalization for the capacity factor
     ewma_alpha: float = 0.1   # probe smoothing weight
 
     def __post_init__(self):
         if not 0.5 < self.w <= 1.0:
             raise ValueError(f"w must be in (0.5, 1], got {self.w}")
-        if not 0.0 < self.b_max < 1.0:
-            raise ValueError(f"b_max must be in (0, 1), got {self.b_max}")
         check_ranges(self, positive=("ref_rate",))
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
@@ -64,14 +63,13 @@ def record_probe(stats: LinkStats, direction: str, received: bool,
     return stats
 
 
-def busy_fraction(channel_airtime_in_window: float, window: float,
-                  b_max: float = 0.99) -> float:
-    """Fraction of the window the channel was occupied, clamped to b_max."""
+def busy_fraction(channel_airtime_in_window: float, window: float) -> float:
+    """Fraction of the window the channel was occupied, clamped to BUSY_MAX."""
     if window <= 0:
         raise ValueError("window must be > 0")
     if channel_airtime_in_window < 0:
         raise ValueError("airtime must be >= 0")
-    return min(channel_airtime_in_window / window, b_max)
+    return min(channel_airtime_in_window / window, BUSY_MAX)
 
 
 def elp_link(stats: LinkStats, params: ElpParams) -> float:
@@ -79,7 +77,7 @@ def elp_link(stats: LinkStats, params: ElpParams) -> float:
     if stats.d_f < DEAD_RATIO or stats.d_r < DEAD_RATIO:
         raise DeadLink(f"delivery ratio below floor ({stats.d_f:.3g}, {stats.d_r:.3g})")
     llr = 1.0 / (stats.d_f ** params.w * stats.d_r ** (1.0 - params.w))
-    b = min(stats.busy, params.b_max)
+    b = min(stats.busy, BUSY_MAX)
     li = 1.0 / (1.0 - b)
     lc = params.ref_rate / stats.capacity
     return llr * li * lc

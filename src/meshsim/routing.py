@@ -286,15 +286,15 @@ class Router:
                "links": links}
         self.log("tc_flood", reason)
         self._seen_tc.add((self.node_id, self._tc_seq))
-        self._broadcast_ctrl(msg, self.process_tc)
+        self._broadcast_ctrl(msg)
 
     def flood_hna(self):
         self._hna_seq += 1
         msg = {"type": "hna", "origin": self.node_id, "seq": self._hna_seq}
         self._seen_hna.add((self.node_id, self._hna_seq))
-        self._broadcast_ctrl(msg, self.process_hna)
+        self._broadcast_ctrl(msg)
 
-    def _broadcast_ctrl(self, msg, handler_name_unused=None):
+    def _broadcast_ctrl(self, msg):
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
             lambda nbr, li, tt, m=msg: self.peers[nbr].receive_control(m, tt))

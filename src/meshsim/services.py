@@ -69,7 +69,6 @@ class Message:
 class DeliveryState:
     phase: str = "pending"            # pending | awaiting_ack | queued_offline
     retries_used: int = 0             #   | delivered | failed
-    timer_expiry: float = 0.0
     history: list[str] = field(default_factory=list)
 
     def move(self, phase):
@@ -359,7 +358,6 @@ class Server:
                 state.move("failed")
                 self._notify_sender(msg, "failed")
 
-        state.timer_expiry = self.net.now() + self.params.ack_timeout
         sender = AckRetrySender(self.net, self.node_id, session.attach_node,
                                 msg.payload_size, self.params,
                                 on_receive, on_success, on_fail).start()

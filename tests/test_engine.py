@@ -3,6 +3,7 @@ import math
 import pytest
 
 from meshsim.engine import Engine, MacParams, Medium, rng_stream
+from meshsim.metrics import BUSY_MAX
 from meshsim.errors import PastTime, UnknownLink
 
 from conftest import two_node_topology
@@ -149,10 +150,10 @@ def test_busy_fraction_reflects_airtime_and_decays():
 
 
 def test_busy_fraction_clamped():
-    med, eng = _medium(1.0, mac=MacParams(busy_window=5.0, b_max=0.99))
+    med, eng = _medium(1.0, mac=MacParams(busy_window=5.0))
     med._record_airtime(0, 1, 50.0)
     eng.run_until(0.1)
-    assert med.busy_fraction(0) == 0.99
+    assert med.busy_fraction(0) == BUSY_MAX
 
 
 def test_broadcast_reaches_neighbor_on_perfect_link():

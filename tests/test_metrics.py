@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meshsim.errors import DeadLink
-from meshsim.metrics import (DEAD_RATIO, ElpParams, LinkStats, busy_fraction,
-                             elp_link, elp_path, hop_count_metric, record_probe)
+from meshsim.metrics import (BUSY_MAX, DEAD_RATIO, ElpParams, LinkStats,
+                             busy_fraction, elp_link, elp_path, hop_count_metric,
+                             record_probe)
 
 
 def test_probe_loss_ewma_step():
@@ -29,7 +30,7 @@ def test_probe_rejects_unknown_direction():
 def test_busy_fraction_arithmetic():
     assert busy_fraction(0.0, 1.0) == 0.0
     assert busy_fraction(0.5, 1.0) == 0.5
-    assert busy_fraction(5.0, 1.0, b_max=0.99) == 0.99
+    assert busy_fraction(5.0, 1.0) == BUSY_MAX
     with pytest.raises(ValueError):
         busy_fraction(0.5, 0.0)
     with pytest.raises(ValueError):
@@ -57,9 +58,8 @@ def test_elp_link_dead_below_floor():
 
 
 def test_elp_busy_clamped_at_b_max():
-    params = ElpParams(b_max=0.99)
     stats = LinkStats(d_f=1.0, d_r=1.0, busy=1.0, capacity=12e6)
-    assert elp_link(stats, params) == pytest.approx(1.0 / (1.0 - 0.99))
+    assert elp_link(stats, ElpParams()) == pytest.approx(1.0 / (1.0 - BUSY_MAX))
 
 
 def test_elp_path_is_sum():
@@ -78,8 +78,6 @@ def test_elp_params_validation():
         ElpParams(w=0.5)
     with pytest.raises(ValueError):
         ElpParams(w=1.01)
-    with pytest.raises(ValueError):
-        ElpParams(b_max=1.0)
     with pytest.raises(ValueError):
         ElpParams(ref_rate=0)
     with pytest.raises(ValueError):
