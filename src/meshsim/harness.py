@@ -5,7 +5,9 @@ medium, per-node routers, and service stack, replays the workload, and
 reduces post-warmup traffic to per-flow PDR/PLR/delay/jitter. Sweeps vary
 the (call count, background load) grid and aggregate across seeds with
 Student-t 95% confidence intervals, matching how field-trial graphs are
-usually reported.
+usually reported. The t quantile comes from the exact integer-df
+distribution function, inverted by bisection, so no numerical library is
+needed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-
-from scipy import stats as _scipy_stats
 
 from .engine import Engine, EngineStats, Medium
 from .errors import CalleeOffline, IoError, SenderOffline, TooFewSamples
@@ -41,15 +41,49 @@ def compute_jitter(transit_times) -> float:
     return j
 
 
-def confidence_interval(samples, level: float = 0.95):
-    """Student-t (mean, half_width) for a small sample."""
+def _t_central_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df.
+
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df): a finite
+    series in sin and cos of theta = atan(t / sqrt(df)).
+    """
+    theta = math.atan(t / math.sqrt(df))
+    c = math.cos(theta)
+    odd = df % 2
+    total, term = 0.0, (c if odd else 1.0)
+    for j in range(odd, df - 1, 2):       # terms in cos^j, j up to df - 2
+        total += term
+        term *= c * c * (j + 1) / (j + 2)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * total)
+    return math.sin(theta) * total
+
+
+def t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer df >= 1.
+
+    Bisects the exact distribution function down to adjacent floats and
+    returns the upper one; agrees with the usual tables to ~1e-13.
+    """
+    lo, hi = 0.0, 16.0                    # t_0.975 is 12.706 at df = 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _t_central_mass(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+
+
+def confidence_interval(samples):
+    """Student-t 95% (mean, half_width) for a small sample."""
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need >= 2 samples, got {n}")
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    t = _scipy_stats.t.ppf((1.0 + level) / 2.0, n - 1)
-    return mean, t * math.sqrt(var / n)
+    return mean, t_quantile_975(n - 1) * math.sqrt(var / n)
 
 
 @dataclass
@@ -344,12 +378,6 @@ _FLOW_COLUMNS = ["flow_id", "kind", "src", "dst", "sent", "delivered", "pdr",
                  "mean_delay_s", "jitter_s"]
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(float(x))   # np.float64 would repr as "np.float64(...)"
-    return str(x)
-
-
 def export(result: ExperimentResult, fmt: str, path) -> list[str]:
     """Write the experiment result; returns the file paths written."""
     path = str(path)
@@ -361,14 +389,14 @@ def export(result: ExperimentResult, fmt: str, path) -> list[str]:
                 for (calls, bg) in sorted(result.cells):
                     for metric in ("pdr", "plr", "delay", "jitter"):
                         mean, half, n = result.cells[(calls, bg)][metric]
-                        w.writerow([calls, bg, metric, _fmt(mean), _fmt(half), n])
+                        w.writerow([calls, bg, metric, mean, half, n])
             flows_path = path + ".flows.csv" if not path.endswith(".csv") \
                 else path[:-4] + ".flows.csv"
             with open(flows_path, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(_FLOW_COLUMNS)
                 for row in result.flow_details:
-                    w.writerow([_fmt(row[c]) for c in _FLOW_COLUMNS])
+                    w.writerow([row[c] for c in _FLOW_COLUMNS])
             return [path, flows_path]
         if fmt == "json":
             doc = {

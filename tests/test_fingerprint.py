@@ -48,11 +48,11 @@ def export_digests(result, tmp_path):
 
 SWEEP_DIGESTS = {
     "indoor22": {
-        "csv": "28ca38c4aced79836a4c392f63fe8aa45314dff2862a302dcd6d681f716134fa",
-        "json": "b4dbad8ac3eb88fad8e7fe8488fae9a55f74482b6220e2ccfd33211cee46101c"},
+        "csv": "1ba67e0076cf81fc55dcfa660e038c0f37e646a9c36b9c5e1b6fc16144a18010",
+        "json": "cfc9f8fcb97a3d23f7720d5136472e4cc96d478cbccd379bc1baeb52af188d84"},
     "outdoor7": {
-        "csv": "5bb85dd9f6c04fac9fc705b7bb66eae742a0a5bef7205e1f86a019c333ce5143",
-        "json": "fe5fc8f40f47b7818e89456a5b14794d75da1472a5d8853a4df3a3414c321ce3"},
+        "csv": "7ac6f323f72b35b914305b3fb52648cf7c7f23d1e9e899ea5a9d7c1eefd58a92",
+        "json": "d8745288f2cc5290a2a4e169fb9a23827ab3b5985e7d395ecee69cd91158355d"},
 }
 
 

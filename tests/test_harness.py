@@ -2,13 +2,17 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from meshsim.errors import TooFewSamples
 from meshsim.harness import (ExperimentResult, Simulation, compute_jitter,
                              confidence_interval, count_trend_violations,
-                             export, run_scenario, single_run_result, sweep)
+                             export, run_scenario, single_run_result, sweep,
+                             t_quantile_975)
 from meshsim.scenario import Scenario
 from meshsim.services import ServiceStack
 
@@ -73,11 +77,36 @@ def test_confidence_interval_degenerate_cases():
         confidence_interval([1.0])
 
 
-def test_confidence_interval_widens_with_level():
-    samples = [1.0, 2.0, 3.0, 4.0]
-    _m, h95 = confidence_interval(samples, 0.95)
-    _m, h99 = confidence_interval(samples, 0.99)
-    assert h99 > h95
+# Student-t 0.975 quantiles as printed by scipy 1.17.1 (scipy.stats.t.ppf)
+T975 = {
+    1: 12.706204736174694, 2: 4.302652729749462, 3: 3.1824463052837078,
+    4: 2.7764451051977934, 5: 2.5705818356363146, 6: 2.4469118511449786,
+    7: 2.364624251592784, 8: 2.306004135204166, 9: 2.262157162798205,
+    10: 2.228138851986274, 11: 2.200985160091639, 12: 2.1788128296672284,
+    13: 2.1603686564627913, 14: 2.144786687917804, 15: 2.131449545559776,
+    16: 2.1199052992212546, 17: 2.1098155778333156, 18: 2.1009220402410382,
+    19: 2.0930240544083087, 20: 2.085963447265864, 21: 2.0796138447276795,
+    22: 2.0738730679040254, 23: 2.0686576104190486, 24: 2.0638985616280245,
+    25: 2.0595385527532972, 26: 2.0555294386428735, 27: 2.0518305164802846,
+    28: 2.0484071417952454, 29: 2.045229642132703, 30: 2.0422724563012378,
+    50: 2.008559112100761, 100: 1.9839715185235518, 299: 1.9679296690656698,
+}
+
+
+@pytest.mark.parametrize("df", sorted(T975))
+def test_t_quantile_matches_reference(df):
+    assert t_quantile_975(df) == pytest.approx(T975[df], rel=1e-12, abs=0)
+
+
+def test_import_loads_no_numerical_library():
+    import meshsim
+    src = os.path.dirname(os.path.dirname(meshsim.__file__))
+    code = ("import sys, meshsim; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 # -- scenario execution -------------------------------------------------------
