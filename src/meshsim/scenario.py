@@ -248,7 +248,7 @@ def _build(raw, name) -> Scenario:
     for c in clients:
         if c.id in client_ids:
             problems.append(f"workload.clients: duplicate client id {c.id!r}")
-        if c.attach not in node_ids:
+        if node_ids and c.attach not in node_ids:
             problems.append(f"workload.clients: client {c.id!r} attaches to "
                             f"undefined node {c.attach}")
         client_ids.add(c.id)
