@@ -238,6 +238,7 @@ def _build(raw, name) -> Scenario:
         problems.append(f"protocol.metric: must be elp or hop_count, got {metric!r}")
     routing = _params(RoutingParams, proto.get("routing", {}), "protocol.routing",
                       problems, metric=metric)
+    services = proto.get("services", ServiceParams())
     qos = _mapping(proto.get("qos", {}), _QOS_TYPES, "protocol.qos", problems)
     if qos.get("goodput_factor", 0.8) <= 0:
         problems.append("protocol.qos.goodput_factor: must be > 0")
@@ -270,6 +271,9 @@ def _build(raw, name) -> Scenario:
                 problems.append(f"{path}.node: undefined node {value!r}")
             elif key in ("size", "chunk_size", "duration") and value <= 0:
                 problems.append(f"{path}.{key}: must be > 0, got {value!r}")
+        limit = services.broadcast_limit
+        if kind == "broadcast_audio" and act.get("duration", 0.0) > limit:
+            problems.append(f"{path}.duration: over the broadcast limit of {limit} s")
         if act.get("at", 0.0) < 0:
             problems.append(f"{path}.at: must be >= 0, got {act['at']!r}")
         actions.append(act)
@@ -293,7 +297,7 @@ def _build(raw, name) -> Scenario:
         mac=proto.get("engine", MacParams()),
         qos_u_max=qos.get("u_max", 0.85),
         qos_goodput=qos.get("goodput_factor", 0.8),
-        services=proto.get("services", ServiceParams()),
+        services=services,
         clients=clients,
         calls=workload.get("calls", CallTemplate()),
         actions=actions,

@@ -184,6 +184,8 @@ def test_every_service_param_is_a_key():
     ("run", "seeds", "abc", "run.seeds"),
     ("topology", "nodes", 5, "topology.nodes"),
     ("workload", "actions", [5], "workload.actions[0]"),
+    ("workload", "actions", [{"at": 1.0, "kind": "broadcast_audio", "duration": 500.0}],
+     "workload.actions[0].duration"),
 ])
 def test_malformed_value_names_its_path(section, key, value, path):
     raw = minimal_dict()
