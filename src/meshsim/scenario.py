@@ -25,7 +25,7 @@ from .metrics import ElpParams
 from .qos import AdmissionLedger
 from .routing import RoutingParams
 from .services import ServiceParams
-from .topology import NodeSpec, PropagationModel, RadioSpec, Topology, build_topology
+from .topology import NodeSpec, PropagationModel, Topology, build_topology
 
 _TOP_TYPES = {"topology": dict, "protocol": dict, "workload": dict, "run": dict}
 _TOPOLOGY_TYPES = {"nodes": list[NodeSpec], "link_overrides": list,
