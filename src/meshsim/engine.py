@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from math import hypot, log
+from math import log
 from typing import Callable, NamedTuple
 
 from .errors import PastTime, UnknownLink, check_ranges
@@ -137,7 +137,8 @@ class Medium:
         self._cur_air = self._bucket_air[0]             # current bucket
         self._bucket_dt = self.params.busy_window / self.BUCKETS
         # per link: transmitter slots that its endpoints can sense
-        self._sensed_slots = self._build_sensed_slots()
+        self._sensed_slots = [[self._slot_of[(nid, link.channel)] for nid in sensed]
+                              for link, sensed in zip(topo.links, topo.sensed)]
         n = len(topo.links)
         self._busy_cache = [0.0] * n
         self._busy_cache_t = [-1.0] * n
@@ -150,25 +151,6 @@ class Medium:
         self._pending = [0] * (2 * n)
         self.on_tx_failure: Callable | None = None      # (src, dst, link_idx, t)
         engine.schedule_in(self._bucket_dt, self._rotate)
-
-    def _build_sensed_slots(self):
-        sensed = []
-        nodes = self.topo.nodes
-        for link in self.topo.links:
-            slots = set()
-            for end_id in (link.src, link.dst):
-                end = nodes[end_id]
-                cs = max(r.cs_range for r in end.radios if r.channel == link.channel)
-                for (nid, ch), slot in self._slot_of.items():
-                    if ch != link.channel:
-                        continue
-                    other = nodes[nid]
-                    d = hypot(other.position[0] - end.position[0],
-                              other.position[1] - end.position[1])
-                    if d <= cs:
-                        slots.add(slot)
-            sensed.append(sorted(slots))
-        return sensed
 
     def _rotate(self):
         self._bucket = (self._bucket + 1) % self.BUCKETS

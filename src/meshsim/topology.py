@@ -88,8 +88,11 @@ class Topology:
     link_index: dict[tuple[int, int, int], int] = field(default_factory=dict)
     # node -> [(neighbor, link index, forward?)]
     adjacency: dict[int, list[tuple[int, int, bool]]] = field(default_factory=dict)
-    # link index -> indices of same-channel links whose transmitter can be
-    # sensed at either endpoint (includes the link itself)
+    # link index -> ids of nodes on the link's channel within carrier-sense
+    # range of either endpoint (includes both endpoints)
+    sensed: list[list[int]] = field(default_factory=list)
+    # link index -> indices of same-channel links with an endpoint in sensed
+    # (includes the link itself)
     domains: list[list[int]] = field(default_factory=list)
 
     def link_between(self, a: int, b: int, channel: int | None = None) -> Link:
@@ -188,9 +191,29 @@ def build_topology(nodes, overrides=None, deletions=None,
                     adjacency[a].append((b, idx, True))
                     adjacency[b].append((a, idx, False))
 
-    topo = Topology(by_id, links, link_index, adjacency)
-    topo.domains = _build_domains(topo)
-    return topo
+    # (node, channel) -> carrier-sense range; channel -> its nodes, by id
+    cs_range: dict[tuple[int, int], float] = {}
+    for n in nodes:
+        for r in n.radios:
+            key = (n.id, r.channel)
+            cs_range[key] = max(cs_range.get(key, 0.0), r.cs_range)
+    on_channel: dict[int, list[NodeSpec]] = {}
+    for nid, channel in cs_range:
+        on_channel.setdefault(channel, []).append(by_id[nid])
+    # (node, channel) -> indices of the links it is an end of
+    incident: dict[tuple[int, int], list[int]] = {key: [] for key in cs_range}
+    for link in links:
+        incident[(link.src, link.channel)].append(link.index)
+        incident[(link.dst, link.channel)].append(link.index)
+    sensed, domains = [], []
+    for link in links:
+        ends = [(by_id[e], cs_range[(e, link.channel)]) for e in (link.src, link.dst)]
+        heard = [n.id for n in on_channel[link.channel]
+                 if any(_distance(n, end) <= cs for end, cs in ends)]
+        sensed.append(heard)
+        domains.append(sorted(set().union(*[incident[(nid, link.channel)]
+                                            for nid in heard])))
+    return Topology(by_id, links, link_index, adjacency, sensed, domains)
 
 
 def _norm_pair(d):
@@ -199,32 +222,6 @@ def _norm_pair(d):
         return (min(a, b), max(a, b), ch)
     a, b = d
     return (min(a, b), max(a, b))
-
-
-def _cs_range(node: NodeSpec, channel: int) -> float:
-    return max(r.cs_range for r in node.radios if r.channel == channel)
-
-
-def _build_domains(topo: Topology) -> list[list[int]]:
-    domains = []
-    for link in topo.links:
-        members = []
-        ea = topo.nodes[link.src]
-        eb = topo.nodes[link.dst]
-        for other in topo.links:
-            if other.channel != link.channel:
-                continue
-            hit = False
-            for tx_id in (other.src, other.dst):
-                tx = topo.nodes[tx_id]
-                if (_distance(tx, ea) <= _cs_range(ea, link.channel)
-                        or _distance(tx, eb) <= _cs_range(eb, link.channel)):
-                    hit = True
-                    break
-            if hit:
-                members.append(other.index)
-        domains.append(members)
-    return domains
 
 
 def contention_domain(topo: Topology, link: Link) -> set[Link]:
