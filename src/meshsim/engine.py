@@ -115,7 +115,9 @@ class Medium:
     busy fraction seen by a link sums recent airtime of every slot within
     carrier-sense range of its endpoints, over a bucketed sliding window.
     Per-direction state is indexed by directed link, 2 * link index for the
-    forward direction and 2 * link index + 1 for the reverse one.
+    forward direction and 2 * link index + 1 for the reverse one. Delivery
+    odds are per-run state too: an outage zeroes them here and leaves the
+    shared Topology untouched.
     """
 
     BUCKETS = 5
@@ -142,13 +144,18 @@ class Medium:
         n = len(topo.links)
         self._busy_cache = [0.0] * n
         self._busy_cache_t = [-1.0] * n
-        # per directed link: transmitter slot, serialization, queue length
+        # per directed link: transmitter slot, delivery odds, serialization,
+        # queue length; per link: outages still open
         self._tx_slot = []
+        self._p = []
         for link in topo.links:
             self._tx_slot.append(self._slot_of[(link.src, link.channel)])
             self._tx_slot.append(self._slot_of[(link.dst, link.channel)])
+            self._p.append(link.p_deliver_fwd)
+            self._p.append(link.p_deliver_rev)
         self._busy_until = [0.0] * (2 * n)
         self._pending = [0] * (2 * n)
+        self._cuts = [0] * n
         self.on_tx_failure: Callable | None = None      # (src, dst, link_idx, t)
         engine.schedule_in(self._bucket_dt, self._rotate)
 
@@ -193,9 +200,9 @@ class Medium:
             raise UnknownLink(f"link index {link_idx}")
         if frame_size <= 0:
             raise ValueError("frame_size must be > 0")
-        link = links[link_idx]
-        p = link.p_deliver_fwd if forward else link.p_deliver_rev
-        air = frame_size / link.capacity
+        d = 2 * link_idx + (not forward)
+        p = self._p[d]
+        air = frame_size / links[link_idx].capacity
         # busy_fraction's cache check, inlined: most frames hit the cache
         if self.engine.now - self._busy_cache_t[link_idx] < 0.05:
             b = self._busy_cache[link_idx]
@@ -217,7 +224,7 @@ class Medium:
             if random() < p:
                 delivered = True
                 break
-        slot = self._tx_slot[2 * link_idx + (not forward)]
+        slot = self._tx_slot[d]
         self._cur_air[slot] += airtime
         self._win_air[slot] += airtime
         return TransmitOutcome(delivered, attempts, t, airtime)
@@ -276,16 +283,38 @@ class Medium:
         now = engine.now
         random = self._rng.random
         links = self.topo.links
+        odds = self._p
         sent_channels = set()
         for nbr, link_idx, fwd in self.topo.adjacency.get(node_id, ()):
             link = links[link_idx]
+            d = 2 * link_idx + (not fwd)
             if link.channel not in sent_channels:
                 sent_channels.add(link.channel)
-                slot = self._tx_slot[2 * link_idx + (not fwd)]
+                slot = self._tx_slot[d]
                 air = bits / link.capacity
                 self._cur_air[slot] += air
                 self._win_air[slot] += air
                 engine.stats.frames_sent += 1
-            if random() < (link.p_deliver_fwd if fwd else link.p_deliver_rev):
+            if random() < odds[d]:
                 t_arrive = now + bits / link.capacity
                 engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
+
+    def outage(self, a: int, b: int, duration: float):
+        """Cut every link between nodes a and b, both ways, for duration.
+
+        Cuts on one link may overlap; its built odds return when the last
+        open cut closes.
+        """
+        cut = [idx for nbr, idx, _fwd in self.topo.adjacency.get(a, ()) if nbr == b]
+        for idx in cut:
+            self._cuts[idx] += 1
+            self._p[2 * idx] = self._p[2 * idx + 1] = 0.0
+        self.engine.schedule_in(duration, partial(self._restore, cut))
+
+    def _restore(self, cut):
+        for idx in cut:
+            self._cuts[idx] -= 1
+            if not self._cuts[idx]:
+                link = self.topo.links[idx]
+                self._p[2 * idx] = link.p_deliver_fwd
+                self._p[2 * idx + 1] = link.p_deliver_rev

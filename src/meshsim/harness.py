@@ -120,12 +120,11 @@ class MetricsReport:
 
 
 class Simulation:
-    """One scenario replica with its own engine, routers and services.
+    """One scenario replica with its own engine, medium, routers and services.
 
-    Not yet isolated from other replicas of the same Scenario: an outage
-    action writes into the shared Link objects of scenario.topology, so
-    replicas must not run in parallel on one Scenario, and an outage still
-    open when a run ends leaks into the next run on it.
+    Everything a run changes lives in these per-run objects; the Scenario
+    and its Topology are only read (an outage action cuts links in the
+    replica's Medium), so replicas of one Scenario share no mutable state.
     """
 
     def __init__(self, scenario: Scenario, seed: int):
@@ -241,21 +240,7 @@ class Simulation:
         elif kind == "attach":
             self.clients[a["client"]].attach(a["node"])
         elif kind == "outage":
-            self._outage(a["a"], a["b"], a.get("duration", 5.0))
-
-    def _outage(self, node_a, node_b, duration):
-        affected = [l for l in self.topo.links
-                    if {l.src, l.dst} == {node_a, node_b}]
-        saved = [(l, l.p_deliver_fwd, l.p_deliver_rev) for l in affected]
-        for l in affected:
-            l.p_deliver_fwd = 0.0
-            l.p_deliver_rev = 0.0
-
-        def restore():
-            for l, pf, pr in saved:
-                l.p_deliver_fwd = pf
-                l.p_deliver_rev = pr
-        self.engine.schedule_in(duration, restore)
+            self.medium.outage(a["a"], a["b"], a.get("duration", 5.0))
 
     # -- execution -----------------------------------------------------------
 

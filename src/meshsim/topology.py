@@ -54,11 +54,12 @@ class PropagationModel:
         return self.p_max - (self.p_max - self.p_min) * frac
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Link:
     """One undirected link (stored once) with per-direction delivery odds.
 
-    Direction ``forward`` means src -> dst with src < dst by node id.
+    Direction ``forward`` means src -> dst with src < dst by node id. The
+    odds are the link's as built; a run's outages live in its Medium.
     """
 
     index: int

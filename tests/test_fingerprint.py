@@ -63,11 +63,11 @@ def test_sweep_export_fingerprint(preset, tmp_path):
     assert export_digests(result, tmp_path) == SWEEP_DIGESTS[preset]
 
 
-# Pins today's behaviour: the second outage saves the first one's p=0 as the
-# value to restore, so the 0<->1 links stay dead after both have ended.
+# The cuts overlap from 10 s to 13 s and close out of order; the 0<->1 links
+# stay dead from 8 s until the last cut closes at 15 s, then carry again.
 OUTAGE_DIGESTS = {
-    "csv": "6342127c8c1289f1d70bf370666939c2e1ab17b124d258af3d437c2e980bed55",
-    "json": "999d4b3c49edb85539345727fb5e3211d20de5dfac05c6a2fec37b30a4c1c03c"}
+    "csv": "2e92ee5cf1f9c5f88f419023f8e128a6f07ebe124ab965db2c878f1d909d7f42",
+    "json": "0cb9acd11a6f828857d0bf31947d32419207df5482576b1b4b5eefcd4b11712c"}
 
 
 def test_overlapping_outages_fingerprint(tmp_path):

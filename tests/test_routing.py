@@ -143,8 +143,7 @@ def test_missed_hellos_drop_neighbor_without_maintenance():
     net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0},
                    maintenance=False).run(5.0)
     assert 1 in net.routers[0].table
-    link = net.topo.links[0]
-    link.p_deliver_fwd = link.p_deliver_rev = 0.0
+    net.medium.outage(0, 1, 100.0)
     net.run(12.0)
     downs = net.events(0, "link_down")
     assert any("neighbor_lost" in info for (_t, info) in downs)
