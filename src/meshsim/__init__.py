@@ -13,10 +13,9 @@ from importlib import resources as _resources
 from .engine import Engine, EngineStats, MacParams, Medium, TransmitOutcome, rng_stream
 from .errors import *  # noqa: F401,F403
 from .harness import (ExperimentResult, MetricsReport, Simulation,
-                      compute_jitter, confidence_interval, export,
-                      run_scenario, sweep)
-from .metrics import (ElpParams, LinkStats, busy_fraction, elp_link, elp_path,
-                      hop_count_metric, record_probe)
+                      confidence_interval, export, run_scenario, sweep)
+from .metrics import (ElpParams, LinkStats, elp_link, elp_path, hop_count_metric,
+                      record_probe)
 from .qos import AdmissionLedger, Admit, FlowSpec, Reject, flow_airtime
 from .routing import Route, Router, RoutingParams, compute_routes, maybe_switch_route
 from .scenario import Scenario, load_scenario

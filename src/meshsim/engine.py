@@ -230,18 +230,16 @@ class Medium:
         return TransmitOutcome(delivered, attempts, t, airtime)
 
     def send_frame(self, link_idx: int, forward: bool, bits: float,
-                   on_delivered=None, on_failed=None, notify_routing: bool = True):
-        """Queue a frame on a directed link; callbacks fire at completion.
+                   on_delivered=None):
+        """Queue a frame on a directed link; on_delivered(t) fires on arrival.
 
-        on_failed reason is "queue" (tail drop) or "retry" (8 failed
-        attempts; also raises the routing failure notification).
+        A frame is dropped at a full queue (tail drop) or after retry_limit
+        failed attempts; the latter raises the routing failure notification.
         """
         d = 2 * link_idx + (not forward)
         engine = self.engine
         if self._pending[d] >= self.params.queue_limit:
             engine.stats.frames_dropped += 1
-            if on_failed is not None:
-                on_failed("queue")
             return
         start = self._busy_until[d]
         if start < engine.now:
@@ -253,7 +251,7 @@ class Medium:
         if out.delivered:
             done = partial(self._delivered, d, on_delivered, t_done)
         else:
-            done = partial(self._failed, d, on_failed, notify_routing, t_done)
+            done = partial(self._failed, d, t_done)
         engine.schedule(t_done, done)
 
     def _delivered(self, d, on_delivered, t_done):
@@ -262,17 +260,15 @@ class Medium:
         if on_delivered is not None:
             on_delivered(t_done)
 
-    def _failed(self, d, on_failed, notify_routing, t_done):
+    def _failed(self, d, t_done):
         self._pending[d] -= 1
         self.engine.stats.frames_dropped += 1
-        if notify_routing and self.on_tx_failure is not None:
+        if self.on_tx_failure is not None:
             link_idx = d >> 1
             link = self.topo.links[link_idx]
             forward = not d & 1
             self.on_tx_failure(link.transmitter(forward), link.receiver(forward),
                                link_idx, t_done)
-        if on_failed is not None:
-            on_failed("retry")
 
     def broadcast(self, node_id: int, bits: float, deliver):
         """One unreliable transmission per radio; no retries, no ACKs.

@@ -28,19 +28,6 @@ from .services import Client, MeshTransport, Server, ServiceStack
 MEASURED_KINDS = ("voice",)
 
 
-def compute_jitter(transit_times) -> float:
-    """Smoothed interarrival jitter: J += (|D| - J)/16 over transit diffs."""
-    if len(transit_times) < 2:
-        raise TooFewSamples(f"need >= 2 arrivals, got {len(transit_times)}")
-    j = 0.0
-    prev = transit_times[0]
-    for t in transit_times[1:]:
-        d = abs(t - prev)
-        j += (d - j) / 16.0
-        prev = t
-    return j
-
-
 def _t_central_mass(t: float, df: int) -> float:
     """P(|T| <= t) for Student's t with integer df.
 

@@ -63,15 +63,6 @@ def record_probe(stats: LinkStats, direction: str, received: bool,
     return stats
 
 
-def busy_fraction(channel_airtime_in_window: float, window: float) -> float:
-    """Fraction of the window the channel was occupied, clamped to BUSY_MAX."""
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    if channel_airtime_in_window < 0:
-        raise ValueError("airtime must be >= 0")
-    return min(channel_airtime_in_window / window, BUSY_MAX)
-
-
 def elp_link(stats: LinkStats, params: ElpParams) -> float:
     """Cost of one link: loss ratio x interference x capacity factors."""
     if stats.d_f < DEAD_RATIO or stats.d_r < DEAD_RATIO:

@@ -47,7 +47,6 @@ class Route:
     next_hop: int
     path_cost: float
     path: tuple[int, ...]
-    installed_at: float
     link_idx: int = -1
     forward: bool = True
 
@@ -56,8 +55,7 @@ class Route:
         return len(self.path) - 1
 
 
-def compute_routes(graph: dict[int, dict[int, float]], source: int,
-                   t: float = 0.0) -> dict[int, Route]:
+def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int, Route]:
     """Shortest-path tree over an advertised-cost graph.
 
     Deterministic tiebreak: lower cost, then fewer hops, then lowest
@@ -78,7 +76,7 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int,
     for dest, (cost, _hops, path) in settled.items():
         if dest == source:
             continue
-        table[dest] = Route(dest, path[1], cost, path, t)
+        table[dest] = Route(dest, path[1], cost, path)
     return table
 
 
@@ -355,7 +353,7 @@ class Router:
     def _recompute(self, now):
         self.dirty = False
         graph = self._graph(now)
-        fresh = compute_routes(graph, self.node_id, now)
+        fresh = compute_routes(graph, self.node_id)
         local = self._local_cache
         table = {}
         h = self.params.hysteresis
@@ -377,7 +375,6 @@ class Router:
                     self.log("route_switch", f"dest={dest} invalidated")
                 table[dest] = cand
             elif cand.path == cur.path:
-                cand.installed_at = cur.installed_at
                 table[dest] = cand
             elif maybe_switch_route(cur, cand, h):
                 self.log("route_switch", f"dest={dest} {cur.path}->{cand.path}")
@@ -417,7 +414,7 @@ class Router:
             if r is not None and (best is None or r.path_cost < best.path_cost):
                 best = r
         if self.is_server:
-            return Route(self.node_id, self.node_id, 0.0, (self.node_id,), now)
+            return Route(self.node_id, self.node_id, 0.0, (self.node_id,))
         if best is None:
             raise NoGateway(f"node {self.node_id}: no gateway announcement heard")
         return best

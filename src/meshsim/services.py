@@ -11,7 +11,7 @@ tests can substitute a scripted fake.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import (AuthError, CalleeOffline, DurationExceeded, NoRoute,
@@ -48,7 +48,6 @@ class ServiceParams:
 class ClientSession:
     client_id: str
     attach_node: int
-    auth_mode: str = "open"           # open | secure | emergency
     last_seen: float = 0.0
     status: str = "online"            # online | offline
     position: tuple[float, float] = (0.0, 0.0)
@@ -69,11 +68,6 @@ class Message:
 class DeliveryState:
     phase: str = "pending"            # pending | awaiting_ack | queued_offline
     retries_used: int = 0             #   | delivered | failed
-    history: list[str] = field(default_factory=list)
-
-    def move(self, phase):
-        self.phase = phase
-        self.history.append(phase)
 
 
 def dedupe(receiver_log: set, msg_id) -> str:
@@ -284,7 +278,7 @@ class Server:
                 raise AuthError(f"bad credentials for {client_id!r}")
         elif mode not in ("open", "emergency"):
             raise ValueError(f"unknown auth mode {mode!r}")
-        session = ClientSession(client_id, attach_node, mode, t, "online", position)
+        session = ClientSession(client_id, attach_node, t, "online", position)
         self.sessions[client_id] = session
         self._flush_queue(client_id)
         return session
@@ -332,11 +326,11 @@ class Server:
         if self.is_online(msg.final_dst):
             self._relay(msg, state)
         else:
-            state.move("queued_offline")
+            state.phase = "queued_offline"
             self.offline_queue.setdefault(msg.final_dst, []).append(msg)
 
     def _relay(self, msg: Message, state: DeliveryState):
-        state.move("awaiting_ack")
+        state.phase = "awaiting_ack"
         session = self.sessions[msg.final_dst]
         dst_client = self.clients.get(msg.final_dst)
 
@@ -346,16 +340,16 @@ class Server:
 
         def on_success(t):
             state.retries_used = sender.transmissions - 1
-            state.move("delivered")
+            state.phase = "delivered"
             self._notify_sender(msg, "delivered")
 
         def on_fail(t):
             state.retries_used = sender.transmissions - 1
             if not self.is_online(msg.final_dst):
-                state.move("queued_offline")
+                state.phase = "queued_offline"
                 self.offline_queue.setdefault(msg.final_dst, []).append(msg)
             else:
-                state.move("failed")
+                state.phase = "failed"
                 self._notify_sender(msg, "failed")
 
         sender = AckRetrySender(self.net, self.node_id, session.attach_node,
@@ -451,7 +445,7 @@ class Client:
 
         def on_fail(t):
             state = server.deliveries.setdefault(msg.msg_id, DeliveryState())
-            state.move("failed")
+            state.phase = "failed"
             if on_done is not None:
                 on_done(False, t)
 

@@ -9,7 +9,7 @@ which is where real deployments get ugly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnknownLink, ValidationError
 
@@ -81,20 +81,22 @@ class Link:
         return self.dst if forward else self.src
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """Everything build_topology derives; runs only read it."""
+
     nodes: dict[int, NodeSpec]
     links: list[Link]
     # (a, b, channel) with a < b -> link index
-    link_index: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    link_index: dict[tuple[int, int, int], int]
     # node -> [(neighbor, link index, forward?)]
-    adjacency: dict[int, list[tuple[int, int, bool]]] = field(default_factory=dict)
+    adjacency: dict[int, list[tuple[int, int, bool]]]
     # link index -> ids of nodes on the link's channel within carrier-sense
     # range of either endpoint (includes both endpoints)
-    sensed: list[list[int]] = field(default_factory=list)
+    sensed: list[list[int]]
     # link index -> indices of same-channel links with an endpoint in sensed
     # (includes the link itself)
-    domains: list[list[int]] = field(default_factory=list)
+    domains: list[list[int]]
 
     def link_between(self, a: int, b: int, channel: int | None = None) -> Link:
         """Return the link between a and b, cheapest-index first if several."""

@@ -7,14 +7,15 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
+from meshsim import preset_path
 from meshsim.errors import TooFewSamples
-from meshsim.harness import (ExperimentResult, Simulation, compute_jitter,
-                             confidence_interval, count_trend_violations,
-                             export, run_scenario, single_run_result, sweep,
-                             t_quantile_975)
+from meshsim.harness import (ExperimentResult, Simulation, confidence_interval,
+                             count_trend_violations, export, run_scenario,
+                             single_run_result, sweep, t_quantile_975)
 from meshsim.scenario import Scenario
-from meshsim.services import ServiceStack
+from meshsim.services import FlowRecord, ServiceStack
 
 
 def tiny_scenario(calls=0, bg=0, retry_limit=8, p=1.0, duration=25.0,
@@ -46,13 +47,16 @@ def tiny_scenario(calls=0, bg=0, retry_limit=8, p=1.0, duration=25.0,
 
 # -- statistics helpers -------------------------------------------------------
 
+def flow_jitter(transits):
+    """Jitter a flow record reports for packets sent at 0 with these transits."""
+    rec = FlowRecord("f", "voice", "a", "b")
+    for transit in transits:
+        rec.on_recv(0.0, transit)
+    return rec.jitter
+
+
 def test_jitter_periodic_arrivals_is_zero():
-    assert compute_jitter([0.010] * 50) == 0.0
-
-
-def test_jitter_single_sample_raises():
-    with pytest.raises(TooFewSamples):
-        compute_jitter([0.010])
+    assert flow_jitter([0.010] * 50) == 0.0
 
 
 def test_jitter_alternating_converges_to_step():
@@ -61,7 +65,7 @@ def test_jitter_alternating_converges_to_step():
     n = 200
     transits = [0.010 + (0.005 if i % 2 else -0.005) for i in range(n)]
     expected = 0.010 * (1.0 - (15.0 / 16.0) ** (n - 1))
-    assert compute_jitter(transits) == pytest.approx(expected, rel=1e-12)
+    assert flow_jitter(transits) == pytest.approx(expected, rel=1e-12)
 
 
 def test_confidence_interval_worked_example():
@@ -175,6 +179,30 @@ def test_call_setup_bug_escapes_run(monkeypatch):
 
 
 # -- sweeps -------------------------------------------------------------------
+
+def open_outage_scenario():
+    """indoor22 for 20 s with a 50 s cut on 0<->1 still open at the end."""
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(duration=20.0, warmup=6.0)
+    raw["workload"]["calls"].update(count=3, background=2)
+    raw["workload"]["actions"] = [
+        {"at": 18.0, "kind": "outage", "a": 0, "b": 1, "duration": 50.0}]
+    return Scenario.from_dict(raw, "indoor22-open-outage")
+
+
+def csv_bytes(result, path):
+    return b"".join(open(f, "rb").read() for f in export(result, "csv", path))
+
+
+def test_open_outage_does_not_leak_into_next_seed(tmp_path):
+    scn = open_outage_scenario()
+    single_run_result(scn, [3])
+    after = csv_bytes(single_run_result(scn, [4]), tmp_path / "after.csv")
+    fresh = csv_bytes(single_run_result(open_outage_scenario(), [4]),
+                      tmp_path / "fresh.csv")
+    assert after == fresh
+
 
 def test_sweep_grid_counts():
     scn = tiny_scenario()

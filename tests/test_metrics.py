@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from meshsim.errors import DeadLink
 from meshsim.metrics import (BUSY_MAX, DEAD_RATIO, ElpParams, LinkStats,
-                             busy_fraction, elp_link, elp_path, hop_count_metric,
-                             record_probe)
+                             elp_link, elp_path, hop_count_metric, record_probe)
 
 
 def test_probe_loss_ewma_step():
@@ -25,16 +24,6 @@ def test_probe_alternating_settles_in_band():
 def test_probe_rejects_unknown_direction():
     with pytest.raises(ValueError):
         record_probe(LinkStats(), "sideways", True)
-
-
-def test_busy_fraction_arithmetic():
-    assert busy_fraction(0.0, 1.0) == 0.0
-    assert busy_fraction(0.5, 1.0) == 0.5
-    assert busy_fraction(5.0, 1.0) == BUSY_MAX
-    with pytest.raises(ValueError):
-        busy_fraction(0.5, 0.0)
-    with pytest.raises(ValueError):
-        busy_fraction(-0.1, 1.0)
 
 
 def test_elp_link_worked_example():

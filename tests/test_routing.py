@@ -93,7 +93,7 @@ def test_elp_prefers_clean_two_hop_over_lossy_shortcut():
 # -- hysteresis -------------------------------------------------------------
 
 def _route(cost):
-    return Route(9, 1, cost, (0, 1, 9), 0.0)
+    return Route(9, 1, cost, (0, 1, 9))
 
 
 def test_switch_hysteresis_thresholds():

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from meshsim import load_preset
 from meshsim.errors import UnknownLink, ValidationError
 from meshsim.topology import (Link, NodeSpec, PropagationModel, RadioSpec,
                               build_topology, contention_domain)
@@ -131,3 +133,50 @@ def test_domains_are_symmetric_and_reflexive():
         assert link.index in dom
         for other in dom:
             assert link.index in topo.domains[other]
+
+
+def test_link_is_frozen():
+    link = build_topology(make_nodes([(0, 0), (10, 0)])).links[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.p_deliver_fwd = 0.0
+
+
+def reference_sensed_and_domains(topo):
+    """Brute-force carrier-sense sets and the O(links^2) domain scan."""
+    def cs_range(node, channel):
+        return max(r.cs_range for r in node.radios if r.channel == channel)
+
+    def dist(a, b):
+        return math.hypot(a.position[0] - b.position[0],
+                          a.position[1] - b.position[1])
+
+    sensed, domains = [], []
+    for link in topo.links:
+        ea, eb = topo.nodes[link.src], topo.nodes[link.dst]
+        sensed.append([
+            n.id for n in sorted(topo.nodes.values(), key=lambda n: n.id)
+            if any(r.channel == link.channel for r in n.radios)
+            and (dist(n, ea) <= cs_range(ea, link.channel)
+                 or dist(n, eb) <= cs_range(eb, link.channel))])
+        members = []
+        for other in topo.links:
+            if other.channel != link.channel:
+                continue
+            for tx_id in (other.src, other.dst):
+                tx = topo.nodes[tx_id]
+                if (dist(tx, ea) <= cs_range(ea, link.channel)
+                        or dist(tx, eb) <= cs_range(eb, link.channel)):
+                    members.append(other.index)
+                    break
+        domains.append(members)
+    return sensed, domains
+
+
+@pytest.mark.parametrize("name", ["indoor22", "outdoor7", "line4"])
+def test_sensed_and_domains_match_reference(name):
+    if name == "line4":
+        topo = build_topology(make_nodes([(0, 0), (20, 0), (40, 0), (60, 0)],
+                                         tx_range=25.0, cs_range=45.0))
+    else:
+        topo = load_preset(name).topology
+    assert (topo.sensed, topo.domains) == reference_sensed_and_domains(topo)
