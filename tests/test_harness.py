@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -192,7 +193,8 @@ def open_outage_scenario():
 
 
 def csv_bytes(result, path):
-    return b"".join(open(f, "rb").read() for f in export(result, "csv", path))
+    files = export(result, "csv", path)
+    return b"".join(pathlib.Path(f).read_bytes() for f in files)
 
 
 def test_open_outage_does_not_leak_into_next_seed(tmp_path):
