@@ -7,13 +7,14 @@ meant to alter simulated output updates these values and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 import yaml
 
 from meshsim import preset_path
 from meshsim.engine import Engine, Medium
-from meshsim.harness import export, single_run_result, sweep
+from meshsim.harness import Simulation, export, single_run_result, sweep
 from meshsim.scenario import Scenario
 from meshsim.topology import build_topology
 
@@ -148,3 +149,63 @@ def test_broadcast_deliveries_pinned():
         med.broadcast(0, 2048, lambda nbr, li, t: got.append((nbr, li, t)))
     eng.run_until(1.0)
     assert got == BROADCAST_DELIVERIES
+
+
+# Every service kind on one indoor22 run: broadcast audio, an accepted, a
+# declined and a late video, a call action, a re-attach that moves the call's
+# endpoint, an SMS, a file transfer and an outage, on top of calls 3 / bg 2.
+SERVICE_ACTIONS = [
+    {"at": 8.0, "kind": "broadcast_audio", "duration": 20.0},
+    {"at": 9.0, "kind": "video_request", "src": "c01", "dst": "c05"},
+    {"at": 9.5, "kind": "video_request", "src": "c02", "dst": "c04"},
+    {"at": 10.0, "kind": "call", "src": "c06", "dst": "c09"},
+    {"at": 11.0, "kind": "attach", "client": "c06", "node": 12},
+    {"at": 12.0, "kind": "sms", "src": "c03", "dst": "c08"},
+    {"at": 13.0, "kind": "file", "src": "c07", "dst": "c10", "size": 80000.0,
+     "chunk_size": 8000.0},
+    {"at": 14.0, "kind": "outage", "a": 0, "b": 1},
+    {"at": 15.0, "kind": "video_request", "src": "c03", "dst": "c07",
+     "response": "accept"},
+]
+
+SERVICE_DIGESTS = {
+    "json": "c02c0ca4abf89e14edebbc51182599ba1080ca7180ef2c1d8682ed100f6e6313",
+    "state": "674ff3c9eaeb9749201b480a12d6cd10670e8310a8ccc89f142f627d4ed3e029"}
+
+
+def service_scenario():
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(duration=40.0, warmup=6.0)
+    workload = raw["workload"]
+    workload["calls"].update(count=3, background=2)
+    for client in workload["clients"]:
+        if client["id"] == "c04":
+            client["video_answer"] = "decline"
+    workload["actions"] = SERVICE_ACTIONS
+    return Scenario.from_dict(raw, "indoor22-services")
+
+
+def service_state(sim, report):
+    """Relay outcomes, flow rows with their admission flag, admission log."""
+    deliveries = sim.server.deliveries
+    return {
+        "deliveries": [[k, deliveries[k].phase, deliveries[k].retries_used]
+                       for k in sorted(deliveries)],
+        "flows": [[f.flow_id, f.kind, f.src, f.dst, f.sent, f.delivered,
+                   f.admitted] for f in report.flows],
+        "admission": [list(e) for e in report.admission_log],
+    }
+
+
+def test_services_fingerprint(tmp_path):
+    scn = service_scenario()
+    digests = {"json": export_digests(single_run_result(scn, SEEDS),
+                                      tmp_path)["json"]}
+    states = []
+    for seed in SEEDS:
+        sim = Simulation(service_scenario(), seed)
+        states.append(service_state(sim, sim.run()))
+    digests["state"] = hashlib.sha256(
+        json.dumps(states, sort_keys=True).encode()).hexdigest()
+    assert digests == SERVICE_DIGESTS
