@@ -127,10 +127,7 @@ class Router:
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
         self.db: dict[int, dict] = {}            # origin -> {seq, expires, links}
         self.hna: dict[int, dict] = {}           # origin -> {seq, expires}
-        self._seen_tc: set[tuple[int, int]] = set()
-        self._seen_hna: set[tuple[int, int]] = set()
-        self._tc_seq = 0
-        self._hna_seq = 0
+        self._seq = {"tc": 0, "hna": 0}          # our last originated seq per type
         self.table: dict[int, Route] = {}
         self.dirty = True
         self.events: list[tuple[float, str, str]] = []
@@ -279,18 +276,16 @@ class Router:
         now = self.engine.now
         links = {nbr: cost for nbr, (cost, _li, _f)
                  in self._local_links(now, advertise=True).items()}
-        self._tc_seq += 1
-        msg = {"type": "tc", "origin": self.node_id, "seq": self._tc_seq,
-               "links": links}
         self.log("tc_flood", reason)
-        self._seen_tc.add((self.node_id, self._tc_seq))
-        self._broadcast_ctrl(msg)
+        self._originate("tc", links=links)
 
     def flood_hna(self):
-        self._hna_seq += 1
-        msg = {"type": "hna", "origin": self.node_id, "seq": self._hna_seq}
-        self._seen_hna.add((self.node_id, self._hna_seq))
-        self._broadcast_ctrl(msg)
+        self._originate("hna")
+
+    def _originate(self, kind, **body):
+        self._seq[kind] += 1
+        self._broadcast_ctrl({"type": kind, "origin": self.node_id,
+                              "seq": self._seq[kind], **body})
 
     def _broadcast_ctrl(self, msg):
         self.medium.broadcast(
@@ -298,35 +293,25 @@ class Router:
             lambda nbr, li, tt, m=msg: self.peers[nbr].receive_control(m, tt))
 
     def receive_control(self, msg, t):
-        if msg["type"] == "tc":
-            self.process_tc(msg, t)
-        elif msg["type"] == "hna":
-            self.process_hna(msg, t)
+        """Accept a TC or HNA flood newer than what we hold; re-flood it once.
 
-    def process_tc(self, msg, t):
+        An originator's seq only grows and kept entries are never removed,
+        so a seq at or below the kept one is a duplicate or stale copy.
+        """
         origin, seq = msg["origin"], msg["seq"]
-        if origin == self.node_id or (origin, seq) in self._seen_tc:
+        if origin == self.node_id:
             return
-        self._seen_tc.add((origin, seq))
-        entry = self.db.get(origin)
-        if entry is not None and seq < entry["seq"]:
-            return                             # stale
-        expires = t + self.params.hold_multiplier * self.params.tc_interval
-        self.db[origin] = {"seq": seq, "expires": expires,
-                           "links": dict(msg["links"])}
-        self.dirty = True
-        self._broadcast_ctrl(msg)              # re-flood once
-
-    def process_hna(self, msg, t):
-        origin, seq = msg["origin"], msg["seq"]
-        if origin == self.node_id or (origin, seq) in self._seen_hna:
-            return
-        self._seen_hna.add((origin, seq))
-        entry = self.hna.get(origin)
-        if entry is not None and seq < entry["seq"]:
+        tc = msg["type"] == "tc"
+        kept = self.db if tc else self.hna
+        entry = kept.get(origin)
+        if entry is not None and seq <= entry["seq"]:
             return
         expires = t + self.params.hold_multiplier * self.params.tc_interval
-        self.hna[origin] = {"seq": seq, "expires": expires}
+        if tc:
+            kept[origin] = {"seq": seq, "expires": expires, "links": msg["links"]}
+            self.dirty = True
+        else:
+            kept[origin] = {"seq": seq, "expires": expires}
         self._broadcast_ctrl(msg)
 
     # -- route computation ----------------------------------------------
@@ -337,7 +322,7 @@ class Router:
             entry = self.db[origin]
             if entry["expires"] < now:
                 continue
-            graph[origin] = dict(entry["links"])
+            graph[origin] = entry["links"]
         local = self._local_links(now)
         graph[self.node_id] = {nbr: cost for nbr, (cost, _li, _f) in local.items()}
         self._local_cache = local
