@@ -23,7 +23,7 @@ class FlowSpec:
     dst: int
     demand: float             # bits/s, CBR
     packet_size: float        # bits
-    kind: str = "voice"       # voice | video | background
+    kind: str = "voice"       # voice | background | broadcast | video
 
     def __post_init__(self):
         check_ranges(self, positive=("demand", "packet_size"))

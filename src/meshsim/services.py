@@ -555,8 +555,6 @@ class ServiceStack:
         return self.medium.busy_fraction(anchor_idx)
 
     def _path_links(self, src_node, dst_node):
-        if src_node == dst_node:
-            return []
         routers = getattr(self.net, "routers", None)
         if routers is None:
             return []
@@ -566,59 +564,70 @@ class ServiceStack:
         return [self.topo.link_between(a, b)
                 for a, b in zip(route.path, route.path[1:])]
 
-    def _flow_pair(self, call_id, src_node, dst_node, rate, packet_bits, kind):
-        return (FlowSpec(f"{call_id}/fwd", src_node, dst_node, rate,
-                         packet_bits, kind),
-                FlowSpec(f"{call_id}/rev", dst_node, src_node, rate,
-                         packet_bits, kind))
-
-    def start_call(self, src_id, dst_id, duration, codec_rate=None,
-                   background=False, t_start=None):
-        """Bidirectional CBR call; admission-checked unless background."""
-        p = self.params
-        rate = codec_rate or p.voice_rate
+    def _endpoints(self, src_id, dst_id):
+        """Attach nodes of two clients that must both be online."""
         server = self.server
         if not server.is_online(src_id):
             raise SenderOffline(src_id)
         if not server.is_online(dst_id):
             raise CalleeOffline(dst_id)
-        src_node = server.sessions[src_id].attach_node
-        dst_node = server.sessions[dst_id].attach_node
-        self._call_counter += 1
-        call_id = f"call{self._call_counter}"
-        kind = "background" if background else "voice"
-        fwd, rev = self._flow_pair(call_id, src_node, dst_node, rate,
-                                   p.voice_packet_bits, kind)
-        reserved = []
-        if not background and src_node != dst_node:
-            for spec in (fwd, rev):
+        return (server.sessions[src_id].attach_node,
+                server.sessions[dst_id].attach_node)
+
+    def _reserve(self, specs):
+        """Admit every spec that crosses a link, or none of them.
+
+        Returns the reserved flow ids, or the first Reject. A Reject or a
+        NoRoute releases the reservations made before it.
+        """
+        reserved, admitted = [], False
+        try:
+            for spec in specs:
+                if spec.src == spec.dst:
+                    continue                   # one node: no airtime to book
                 path = self._path_links(spec.src, spec.dst)
                 decision = self.ledger.admit(spec, path, self._measured_busy)
                 if isinstance(decision, Reject):
-                    for fid in reserved:
-                        self.ledger.release(fid)
-                    rec = FlowRecord(spec.id, kind, src_id, dst_id, admitted=False)
-                    self.flows.append(rec)
                     return decision
                 reserved.append(spec.id)
-        return self._launch_pair(call_id, kind, src_id, dst_id, src_node,
-                                 dst_node, rate, p.voice_packet_bits,
-                                 duration, reserved, t_start)
+            admitted = True
+        finally:
+            if not admitted:
+                for fid in reserved:
+                    self.ledger.release(fid)
+        return reserved
 
-    def _launch_pair(self, call_id, kind, src_id, dst_id, src_node, dst_node,
-                     rate, packet_bits, duration, reserved, t_start=None):
-        now = self.net.now() if t_start is None else t_start
-        interval = packet_bits / rate
+    def _runner(self, spec: FlowSpec, src_id, dst_id, t_end) -> "FlowRunner":
+        """A CBR generator for spec, with its FlowRecord added to flows."""
+        rec = FlowRecord(spec.id, spec.kind, src_id, dst_id,
+                         measure_from=self.warmup)
+        self.flows.append(rec)
+        return FlowRunner(self.net, spec.src, spec.dst, spec.packet_size,
+                          spec.packet_size / spec.demand, t_end, rec)
+
+    def start_call(self, src_id, dst_id, duration, codec_rate=None,
+                   background=False):
+        """Bidirectional CBR call; admission-checked unless background."""
+        p = self.params
+        rate = codec_rate or p.voice_rate
+        src_node, dst_node = self._endpoints(src_id, dst_id)
+        self._call_counter += 1
+        call_id = f"call{self._call_counter}"
+        kind = "background" if background else "voice"
+        fwd = FlowSpec(f"{call_id}/fwd", src_node, dst_node, rate,
+                       p.voice_packet_bits, kind)
+        rev = FlowSpec(f"{call_id}/rev", dst_node, src_node, rate,
+                       p.voice_packet_bits, kind)
+        reserved = [] if background else self._reserve((fwd, rev))
+        if isinstance(reserved, Reject):
+            self.flows.append(FlowRecord(reserved.flow_id, kind, src_id, dst_id,
+                                         admitted=False))
+            return reserved
+        now = self.net.now()
         t_end = now + duration
-        runners = []
-        for tag, a, b, ca, cb in (("fwd", src_node, dst_node, src_id, dst_id),
-                                  ("rev", dst_node, src_node, dst_id, src_id)):
-            rec = FlowRecord(f"{call_id}/{tag}", kind, ca, cb,
-                             measure_from=self.warmup)
-            self.flows.append(rec)
-            runners.append(FlowRunner(self.net, a, b, packet_bits, interval,
-                                      t_end, rec))
-        handle = CallHandle(call_id, runners, self.ledger, reserved)
+        handle = CallHandle([self._runner(fwd, src_id, dst_id, t_end),
+                             self._runner(rev, dst_id, src_id, t_end)],
+                            self.ledger, reserved)
         self.net.schedule(now, handle.begin)
         self.net.schedule(t_end, handle.finish)
         return handle
@@ -629,39 +638,32 @@ class ServiceStack:
         if duration > p.broadcast_limit:
             raise DurationExceeded(f"{duration}s > {p.broadcast_limit}s")
         rate = rate or p.broadcast_rate
-        now = self.net.now()
+        t_end = self.net.now() + duration
         records = []
         for cid in sorted(self.server.sessions):
             if not self.server.is_online(cid):
                 continue
-            session = self.server.sessions[cid]
-            rec = FlowRecord(f"bcast/{cid}", "broadcast", "server", cid,
-                             measure_from=self.warmup)
-            self.flows.append(rec)
-            records.append(rec)
-            FlowRunner(self.net, self.server.node_id, session.attach_node,
-                       p.broadcast_packet_bits,
-                       p.broadcast_packet_bits / rate,
-                       now + duration, rec).start()
+            spec = FlowSpec(f"bcast/{cid}", self.server.node_id,
+                            self.server.sessions[cid].attach_node, rate,
+                            p.broadcast_packet_bits, "broadcast")
+            runner = self._runner(spec, "server", cid, t_end).start()
+            records.append(runner.record)
         return records
 
     def request_video(self, src_id, dst_id, duration=30.0) -> "VideoRequest":
         """Confirm-first video: stream only starts on the receiver's accept."""
-        server = self.server
-        if not server.is_online(src_id):
-            raise SenderOffline(src_id)
-        if not server.is_online(dst_id):
-            raise CalleeOffline(dst_id)
-        return VideoRequest(self, src_id, dst_id, duration).start()
+        src_node, dst_node = self._endpoints(src_id, dst_id)
+        return VideoRequest(self, src_id, dst_id, duration).start(src_node,
+                                                                  dst_node)
 
 
 class CallHandle:
-    def __init__(self, call_id, runners, ledger, reserved):
-        self.call_id = call_id
+    """The runners of one stream and the reservations that finish releases."""
+
+    def __init__(self, runners, ledger, reserved):
         self.runners = runners
         self.ledger = ledger
         self.reserved = reserved
-        self.records = [r.record for r in runners]
 
     def begin(self):
         for r in self.runners:
@@ -671,8 +673,7 @@ class CallHandle:
         for r in self.runners:
             r.stop()
         for fid in self.reserved:
-            if fid in self.ledger.flows:
-                self.ledger.release(fid)
+            self.ledger.release(fid)
         self.reserved = []
 
 
@@ -682,17 +683,12 @@ class VideoRequest:
         self.src_id = src_id
         self.dst_id = dst_id
         self.duration = duration
-        self.result = None            # accepted | declined | timeout
-        self.handle = None
+        self.result = None            # accepted | declined | rejected | timeout
 
-    def start(self):
-        stack = self.stack
-        net = stack.net
-        p = stack.params
-        server = stack.server
-        src_node = server.sessions[self.src_id].attach_node
-        dst_node = server.sessions[self.dst_id].attach_node
-        dst_client = server.clients.get(self.dst_id)
+    def start(self, src_node, dst_node):
+        net = self.stack.net
+        p = self.stack.params
+        dst_client = self.stack.server.clients.get(self.dst_id)
 
         def answer(t):
             policy = dst_client.video_answer if dst_client else "none"
@@ -712,30 +708,23 @@ class VideoRequest:
         if policy == "decline":
             self.result = "declined"
             return
-        self.result = "accepted"
         stack = self.stack
         p = stack.params
-        server = stack.server
-        src_node = server.sessions[self.src_id].attach_node
-        dst_node = server.sessions[self.dst_id].attach_node
-        spec = FlowSpec(f"video/{self.src_id}/{self.dst_id}", src_node,
-                        dst_node, p.video_rate, p.video_packet_bits, "video")
-        reserved = []
-        if src_node != dst_node:
-            path = stack._path_links(src_node, dst_node)
-            decision = stack.ledger.admit(spec, path, stack._measured_busy)
-            if isinstance(decision, Reject):
-                self.result = "rejected"
-                return
-            reserved.append(spec.id)
-        rec = FlowRecord(spec.id, "video", self.src_id, self.dst_id,
-                         measure_from=stack.warmup)
-        stack.flows.append(rec)
-        runner = FlowRunner(stack.net, src_node, dst_node, p.video_packet_bits,
-                            p.video_packet_bits / p.video_rate,
-                            stack.net.now() + self.duration, rec).start()
-        self.handle = CallHandle(spec.id, [runner], stack.ledger, reserved)
-        stack.net.schedule(stack.net.now() + self.duration, self.handle.finish)
+        sessions = stack.server.sessions
+        # attach nodes as of now: a client may have moved since the request
+        spec = FlowSpec(f"video/{self.src_id}/{self.dst_id}",
+                        sessions[self.src_id].attach_node,
+                        sessions[self.dst_id].attach_node,
+                        p.video_rate, p.video_packet_bits, "video")
+        reserved = stack._reserve((spec,))
+        if isinstance(reserved, Reject):
+            self.result = "rejected"
+            return
+        self.result = "accepted"
+        t_end = stack.net.now() + self.duration
+        runner = stack._runner(spec, self.src_id, self.dst_id, t_end).start()
+        stack.net.schedule(t_end, CallHandle([runner], stack.ledger,
+                                             reserved).finish)
 
     def _timeout(self):
         if self.result is None:
