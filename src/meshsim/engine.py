@@ -169,12 +169,6 @@ class Medium:
                 old[i] = 0.0
         self.engine.schedule_in(self._bucket_dt, self._rotate)
 
-    def _record_airtime(self, node: int, channel: int, airtime: float):
-        slot = self._slot_of.get((node, channel))
-        if slot is not None:
-            self._cur_air[slot] += airtime
-            self._win_air[slot] += airtime
-
     def busy_fraction(self, link_idx: int) -> float:
         """Measured busy fraction of the link's contention domain, clamped."""
         now = self.engine.now

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .engine import Engine, EngineStats, Medium
-from .errors import CalleeOffline, IoError, SenderOffline, TooFewSamples
+from .errors import CalleeOffline, IoError, NoRoute, SenderOffline, TooFewSamples
 from .routing import Router, wire_network
 from .scenario import Scenario
 from .services import Client, MeshTransport, Server, ServiceStack
@@ -132,11 +132,9 @@ class Simulation:
         phase_step = scenario.routing.hello_interval / max(len(node_ids), 1)
         for i, nid in enumerate(node_ids):
             self.routers[nid].start(phase=i * phase_step)
-        self.transport = MeshTransport(self.engine, self.topo, self.medium,
-                                       self.routers)
+        self.transport = MeshTransport(self.engine, self.medium, self.routers)
         self.ledger = scenario.make_ledger()
-        self.server = Server(self.transport, servers[0], scenario.services,
-                             ledger=self.ledger)
+        self.server = Server(self.transport, servers[0], scenario.services)
         self.stack = ServiceStack(self.transport, self.server, self.topo,
                                   self.ledger, scenario.services,
                                   medium=self.medium, warmup=scenario.warmup)
@@ -188,8 +186,8 @@ class Simulation:
                 try:
                     self.stack.start_call(src, dst, tpl.duration,
                                           tpl.codec_rate, background=background)
-                except (SenderOffline, CalleeOffline):
-                    pass          # offline endpoints: call never happens
+                except (SenderOffline, CalleeOffline, NoRoute):
+                    pass          # offline or unreachable: call never happens
             self.engine.schedule(t, go)
 
         for i in range(tpl.count):
@@ -205,8 +203,8 @@ class Simulation:
     def _run_action(self, a):
         try:
             self._dispatch_action(a)
-        except (SenderOffline, CalleeOffline):
-            pass          # offline endpoints: the action never happens
+        except (SenderOffline, CalleeOffline, NoRoute):
+            pass          # offline or unreachable: the action never happens
 
     def _dispatch_action(self, a):
         kind = a["kind"]
@@ -312,17 +310,9 @@ def sweep(scenario: Scenario, calls_grid, bg_grid, seeds,
 
 
 def single_run_result(scenario: Scenario, seeds) -> ExperimentResult:
-    """Wrap plain runs of one scenario as a one-cell experiment."""
-    result = ExperimentResult()
-    cell = (scenario.calls.count, scenario.calls.background)
-    reports = [run_scenario(scenario, seed) for seed in seeds]
-    result.cells[cell] = _aggregate_cell(reports)
-    for rep in reports:
-        for row in rep.flow_rows():
-            row = dict(row, cell_calls=cell[0], cell_bg_load=cell[1],
-                       seed=rep.seed)
-            result.flow_details.append(row)
-    return result
+    """Plain runs of one scenario as a one-cell experiment with flow details."""
+    return sweep(scenario, [scenario.calls.count], [scenario.calls.background],
+                 seeds, keep_flow_details=True)
 
 
 def count_trend_violations(result: ExperimentResult, calls: int, bg_grid,

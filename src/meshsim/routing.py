@@ -104,11 +104,6 @@ class NeighborLink:
     suppressed_until: float = -1.0
     suppression_times: deque = field(default_factory=deque)
 
-    def usable(self, now: float, hold: float) -> bool:
-        return (self.reported and self.last_heard >= 0
-                and now - self.last_heard <= hold
-                and now >= self.suppressed_until)
-
 
 class Router:
     """One node's routing agent, driven entirely by engine events."""

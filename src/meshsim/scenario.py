@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import yaml
 
 from .engine import MacParams
-from .errors import ParseError, ValidationError, check_ranges
+from .errors import ParseError, UnknownLink, ValidationError, check_ranges
 from .metrics import ElpParams
 from .qos import AdmissionLedger
 from .routing import RoutingParams
@@ -255,6 +255,7 @@ def _build(raw, name) -> Scenario:
         client_ids.add(c.id)
 
     actions = []
+    outages = []                      # (path, a, b), checked on the built topology
     for i, a in enumerate(workload.get("actions", [])):
         path = f"workload.actions[{i}]"
         act = _mapping(a, _ACTION_TYPES, path, problems, required=("at", "kind"))
@@ -267,8 +268,8 @@ def _build(raw, name) -> Scenario:
         for key, value in act.items():
             if key in ("src", "dst", "client") and value not in client_ids:
                 problems.append(f"{path}.{key}: undefined client {value!r}")
-            elif key == "node" and value not in node_ids:
-                problems.append(f"{path}.node: undefined node {value!r}")
+            elif key in ("node", "a", "b") and value not in node_ids:
+                problems.append(f"{path}.{key}: undefined node {value!r}")
             elif key in ("size", "chunk_size", "duration") and value <= 0:
                 problems.append(f"{path}.{key}: must be > 0, got {value!r}")
         limit = services.broadcast_limit
@@ -276,6 +277,8 @@ def _build(raw, name) -> Scenario:
             problems.append(f"{path}.duration: over the broadcast limit of {limit} s")
         if act.get("at", 0.0) < 0:
             problems.append(f"{path}.at: must be >= 0, got {act['at']!r}")
+        if kind == "outage" and "a" in act and "b" in act:
+            outages.append((path, act["a"], act["b"]))
         actions.append(act)
 
     duration = run.get("duration", 60.0)
@@ -288,10 +291,20 @@ def _build(raw, name) -> Scenario:
     if problems:
         raise ValidationError(problems)
 
+    topology = build_topology(nodes, overrides, deletions,
+                              topo.get("propagation", PropagationModel()))
+    for path, a, b in outages:
+        try:
+            topology.link_between(a, b)
+        except UnknownLink:
+            problems.append(f"{path}: outage needs a link, none between nodes "
+                            f"{a} and {b}")
+    if problems:
+        raise ValidationError(problems)
+
     return Scenario(
         name=name,
-        topology=build_topology(nodes, overrides, deletions,
-                                topo.get("propagation", PropagationModel())),
+        topology=topology,
         elp=proto.get("elp", ElpParams()),
         routing=routing,
         mac=proto.get("engine", MacParams()),

@@ -56,12 +56,10 @@ class ClientSession:
 @dataclass
 class Message:
     msg_id: str
-    kind: str                         # sms | file_chunk | beacon | control
+    kind: str                         # sms | file_chunk
     src: str
     final_dst: str
-    relay: int                        # server node id
     payload_size: float
-    attempt: int = 0
 
 
 @dataclass
@@ -133,9 +131,8 @@ class MeshTransport:
 
     TTL = 32
 
-    def __init__(self, engine, topo, medium, routers):
+    def __init__(self, engine, medium, routers):
         self.engine = engine
-        self.topo = topo
         self.medium = medium
         self.routers = routers
         self.header_bits = medium.params.header_bits
@@ -257,12 +254,11 @@ class Server:
     """Relay, registry, and store-and-forward core at the server node."""
 
     def __init__(self, net, node_id, params: ServiceParams,
-                 users: dict[str, str] | None = None, ledger=None):
+                 users: dict[str, str] | None = None):
         self.net = net
         self.node_id = node_id
         self.params = params
         self.users = users or {}
-        self.ledger = ledger
         self.sessions: dict[str, ClientSession] = {}
         self.clients: dict[str, "Client"] = {}
         self.offline_queue: dict[str, list[Message]] = {}
@@ -432,7 +428,6 @@ class Client:
     def send_sms(self, dst_id, payload_bits=None, on_done=None) -> Message:
         self._require_online()
         msg = Message(self._next_id("sms"), "sms", self.client_id, dst_id,
-                      self.server.node_id,
                       payload_bits or self.params.sms_bits)
         self._uplink(msg, on_done)
         return msg
@@ -503,8 +498,7 @@ class FileTransfer:
         self.next_chunk += 1
         server = self.client.server
         msg = Message(f"{self._transfer_id}/chunk{i}", "file_chunk",
-                      self.client.client_id, self.dst_id, server.node_id,
-                      self.chunk_bits)
+                      self.client.client_id, self.dst_id, self.chunk_bits)
 
         def watch(msg_id=msg.msg_id):
             state = server.deliveries.get(msg_id)
@@ -716,8 +710,11 @@ class VideoRequest:
                         sessions[self.src_id].attach_node,
                         sessions[self.dst_id].attach_node,
                         p.video_rate, p.video_packet_bits, "video")
-        reserved = stack._reserve((spec,))
-        if isinstance(reserved, Reject):
+        try:
+            reserved = stack._reserve((spec,))
+        except NoRoute:
+            reserved = None
+        if reserved is None or isinstance(reserved, Reject):
             self.result = "rejected"
             return
         self.result = "accepted"

@@ -71,9 +71,6 @@ class Link:
     p_deliver_rev: float
     capacity: float           # bits/s
 
-    def p_deliver(self, forward: bool) -> float:
-        return self.p_deliver_fwd if forward else self.p_deliver_rev
-
     def transmitter(self, forward: bool) -> int:
         return self.src if forward else self.dst
 

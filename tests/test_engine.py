@@ -141,7 +141,7 @@ def test_busy_fraction_idle_is_zero():
 
 def test_busy_fraction_reflects_airtime_and_decays():
     med, eng = _medium(1.0, mac=MacParams(busy_window=5.0))
-    med._record_airtime(0, 1, 1.0)
+    med.transmit(med.topo.links[0].capacity * 1.0, 0, True, 0.0)   # 1 s of air
     eng.run_until(0.1)
     assert med.busy_fraction(0) == pytest.approx(0.2)
     # after the full window rotates, the airtime is forgotten
@@ -151,7 +151,7 @@ def test_busy_fraction_reflects_airtime_and_decays():
 
 def test_busy_fraction_clamped():
     med, eng = _medium(1.0, mac=MacParams(busy_window=5.0))
-    med._record_airtime(0, 1, 50.0)
+    med.transmit(med.topo.links[0].capacity * 50.0, 0, True, 0.0)  # 50 s of air
     eng.run_until(0.1)
     assert med.busy_fraction(0) == BUSY_MAX
 

@@ -310,3 +310,20 @@ def test_routing_table_dump_format():
     assert "# node 0" in dump
     assert "dest next_hop cost hops path" in dump
     assert any(line.startswith("2 1 ") for line in dump.splitlines())
+
+
+@pytest.mark.parametrize("workload", [
+    {"actions": [{"at": 0.5, "kind": "call", "src": "c01", "dst": "c24"}]},
+    {"calls": {"count": 1, "background": 0, "start": 0.5}},
+])
+def test_call_before_routes_converge_is_skipped(workload):
+    # at 0.5 s the clients are registered but routes are still missing
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(duration=8.0, warmup=2.0)
+    raw["workload"]["calls"] = {"count": 0, "background": 0}
+    raw["workload"].update(workload)
+    sim = Simulation(Scenario.from_dict(raw, "indoor22-early-call"), seed=1)
+    report = sim.run()
+    assert sim.engine.now == 8.0
+    assert report.flows == [] and sim.ledger.flows == {}

@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+from meshsim import preset_path
 from meshsim.errors import ParseError, ValidationError
 from meshsim.scenario import Scenario, load_scenario
 
@@ -190,6 +192,20 @@ def test_every_service_param_is_a_key():
 def test_malformed_value_names_its_path(section, key, value, path):
     raw = minimal_dict()
     raw.setdefault(section, {})[key] = value
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert any(p.startswith(path) for p in exc.value.problems), exc.value.problems
+
+
+@pytest.mark.parametrize("a, b, path", [
+    (0, 4, "workload.actions[0]:"),        # no link between 0 and 4
+    (3, 3, "workload.actions[0]:"),        # one node twice
+    (0, 99, "workload.actions[0].b:"),     # undefined node
+])
+def test_outage_must_name_a_link(a, b, path):
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["workload"]["actions"] = [{"at": 20.0, "kind": "outage", "a": a, "b": b}]
     with pytest.raises(ValidationError) as exc:
         Scenario.from_dict(raw)
     assert any(p.startswith(path) for p in exc.value.problems), exc.value.problems

@@ -24,13 +24,13 @@ def make_stack(n_clients=2, attach=0):
     return net, server, stack, clients
 
 
-def line_scenario(rate=12e6, count=0):
+def line_scenario(rate=12e6, count=0, xs=(0.0, 10.0, 20.0)):
     return Scenario.from_dict({
         "topology": {"nodes": [
-            {"id": i, "position": [i * 10.0, 0.0], "is_server": i == 0,
+            {"id": i, "position": [x, 0.0], "is_server": i == 0,
              "radios": [{"channel": 1, "nominal_rate": rate,
                          "tx_range": 40.0, "cs_range": 80.0}]}
-            for i in range(3)],
+            for i, x in enumerate(xs)],
             "link_overrides": [{"a": a, "b": b, "p": 1.0}
                                for a, b in ((0, 1), (1, 2), (0, 2))]},
         "workload": {
@@ -145,3 +145,17 @@ def test_video_no_answer_times_out():
     net.run(10.1)
     assert req.result == "timeout"
     assert [f for f in stack.flows if f.kind == "video"] == []
+
+
+def test_video_opens_at_attach_node_of_answer_time():
+    # node 3 is out of everyone's range; c2 moves there after the request
+    # went out, so the stream opens toward node 3, finds no route and the
+    # request ends rejected instead of ending the run
+    sim = Simulation(line_scenario(xs=(0.0, 10.0, 20.0, 500.0)), seed=1)
+    sim.engine.run_until(12.0)
+    req = sim.stack.request_video("c1", "c2", duration=3.0)
+    sim.engine.schedule(12.2, lambda: sim.clients["c2"].attach(3))
+    sim.engine.run_until(20.0)
+    assert req.result == "rejected"
+    assert [f for f in sim.stack.flows if f.kind == "video"] == []
+    assert sim.ledger.flows == {}

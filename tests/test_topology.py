@@ -71,8 +71,8 @@ def test_override_sets_asymmetric_probabilities():
     nodes = make_nodes([(0, 0), (10, 0)])
     topo = build_topology(nodes, overrides={(0, 1): (0.9, 0.4)})
     link = topo.links[0]
-    assert link.p_deliver(True) == 0.9
-    assert link.p_deliver(False) == 0.4
+    assert link.p_deliver_fwd == 0.9
+    assert link.p_deliver_rev == 0.4
 
 
 def test_override_out_of_range_rejected():
