@@ -647,8 +647,8 @@ class ServiceStack:
     def request_video(self, src_id, dst_id, duration=30.0) -> "VideoRequest":
         """Confirm-first video: stream only starts on the receiver's accept."""
         src_node, dst_node = self._endpoints(src_id, dst_id)
-        return VideoRequest(self, src_id, dst_id, duration).start(src_node,
-                                                                  dst_node)
+        req = VideoRequest(self, src_id, dst_id, duration)
+        return req.start(src_node, dst_node)
 
 
 class CallHandle:
@@ -712,7 +712,7 @@ class VideoRequest:
                         p.video_rate, p.video_packet_bits, "video")
         try:
             reserved = stack._reserve((spec,))
-        except NoRoute:
+        except NoRoute:                        # e.g. moved out of reach
             reserved = None
         if reserved is None or isinstance(reserved, Reject):
             self.result = "rejected"

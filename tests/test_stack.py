@@ -2,7 +2,7 @@
 
 import pytest
 
-from meshsim.errors import CalleeOffline, DurationExceeded, SenderOffline
+from meshsim.errors import CalleeOffline, DurationExceeded, NoRoute, SenderOffline
 from meshsim.harness import Simulation
 from meshsim.qos import Reject
 from meshsim.scenario import Scenario
@@ -68,6 +68,18 @@ def test_call_rejected_when_domain_saturates():
     assert sim.ledger.flows == {}               # partial reservation rolled back
     rejected = [f for f in sim.stack.flows if not f.admitted]
     assert len(rejected) == 1
+
+
+def test_no_route_back_releases_the_outbound_reservation():
+    sim = Simulation(line_scenario(), seed=1)
+    sim.engine.run_until(12.0)
+    sim.routers[2].table = {}                   # c2's node has lost its routes
+    sim.routers[2].dirty = False
+    with pytest.raises(NoRoute):
+        sim.stack.start_call("c1", "c2", 5.0)
+    assert [e[:2] for e in sim.ledger.log] == [("admit", "call1/fwd"),
+                                               ("release", "call1/fwd")]
+    assert sim.ledger.flows == {}
 
 
 def test_call_requires_online_endpoints():
