@@ -710,6 +710,10 @@ class VideoRequest:
                         sessions[self.src_id].attach_node,
                         sessions[self.dst_id].attach_node,
                         p.video_rate, p.video_packet_bits, "video")
+        ledger = stack.ledger
+        if ledger is not None and spec.id in ledger.flows:
+            self.result = "rejected"           # this pair's video is still live
+            return
         try:
             reserved = stack._reserve((spec,))
         except NoRoute:                        # e.g. moved out of reach

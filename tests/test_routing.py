@@ -118,6 +118,8 @@ def test_two_nodes_learn_symmetric_routes():
 def test_tc_duplicate_and_stale_are_ignored():
     net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0)
     router = net.routers[0]
+    sent = []
+    router._broadcast_ctrl = sent.append
     msg = {"type": "tc", "origin": 7, "seq": 5, "links": {8: 1.0}}
     router.receive_control(msg, 4.0)
     assert router.db[7]["links"] == {8: 1.0}
@@ -127,26 +129,16 @@ def test_tc_duplicate_and_stale_are_ignored():
     router.receive_control({"type": "tc", "origin": 7, "seq": 3,
                             "links": {8: 9.0}}, 4.2)
     assert router.db[7]["seq"] == 5            # stale seq: ignored
-    router.receive_control({"type": "hna", "origin": 7, "seq": 2}, 4.3)
+    hna = {"type": "hna", "origin": 7, "seq": 2}
+    router.receive_control(hna, 4.3)
     assert router.hna[7]["seq"] == 2           # HNA seqs are kept apart
     expires = router.hna[7]["expires"]
-    router.receive_control({"type": "hna", "origin": 7, "seq": 2}, 9.0)
+    router.receive_control(dict(hna), 9.0)
     assert router.hna[7]["expires"] == expires  # duplicate: not refreshed
-
-
-def test_each_flood_is_accepted_and_reflooded_once():
-    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0)
-    router = net.routers[0]
-    sent = []
-    router._broadcast_ctrl = sent.append
-    tc = {"type": "tc", "origin": 7, "seq": 5, "links": {8: 1.0}}
-    hna = {"type": "hna", "origin": 7, "seq": 5}
-    for msg in (tc, hna, tc, hna, dict(tc, seq=4), dict(hna, seq=4)):
-        router.receive_control(msg, 4.0)
-    assert sent == [tc, hna]
+    assert sent == [msg, hna]                  # each flood re-flooded once
     router.receive_control({"type": "tc", "origin": 0, "seq": 99,
-                            "links": {}}, 4.0)
-    assert sent == [tc, hna] and 0 not in router.db   # own flood: dropped
+                            "links": {}}, 9.1)
+    assert sent == [msg, hna] and 0 not in router.db   # own flood: dropped
 
 
 def test_tc_flood_crosses_five_node_line():

@@ -24,7 +24,7 @@ def make_stack(n_clients=2, attach=0):
     return net, server, stack, clients
 
 
-def line_scenario(rate=12e6, count=0, xs=(0.0, 10.0, 20.0)):
+def line_scenario(rate=12e6, count=0, xs=(0.0, 10.0, 20.0), actions=()):
     return Scenario.from_dict({
         "topology": {"nodes": [
             {"id": i, "position": [x, 0.0], "is_server": i == 0,
@@ -36,6 +36,7 @@ def line_scenario(rate=12e6, count=0, xs=(0.0, 10.0, 20.0)):
         "workload": {
             "clients": [{"id": "c1", "attach": 1}, {"id": "c2", "attach": 2}],
             "calls": {"count": count, "duration": 5.0},
+            "actions": list(actions),
         },
         "run": {"duration": 20.0, "warmup": 10.0, "seeds": [1]},
     }, name="line3")
@@ -170,4 +171,19 @@ def test_video_opens_at_attach_node_of_answer_time():
     sim.engine.run_until(20.0)
     assert req.result == "rejected"
     assert [f for f in sim.stack.flows if f.kind == "video"] == []
+    assert sim.ledger.flows == {}
+
+
+def test_second_video_on_a_live_pair_is_rejected():
+    # both videos share the flow id video/c1/c2; the second is answered
+    # while the first still holds it, so it must not take that reservation
+    sim = Simulation(line_scenario(actions=[
+        {"at": 11.0, "kind": "video_request", "src": "c1", "dst": "c2",
+         "duration": 5.0, "response": "accept"},
+        {"at": 12.0, "kind": "video_request", "src": "c1", "dst": "c2",
+         "duration": 5.0, "response": "accept"}]), seed=1)
+    report = sim.run()
+    assert [f.flow_id for f in report.flows if f.kind == "video"] == ["video/c1/c2"]
+    log = [(k, fid) for (k, fid, _x) in report.admission_log]
+    assert log == [("admit", "video/c1/c2"), ("release", "video/c1/c2")]
     assert sim.ledger.flows == {}
