@@ -15,13 +15,27 @@ from .scenario import load_scenario
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept 'A..B', 'A..B..STEP', or comma-separated values."""
-    if ".." in text:
-        parts = text.split("..")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in text.split(",")]
+    """Accept 'A..B', 'A..B..STEP', or comma-separated values.
+
+    Raises ValidationError for any other text, a STEP below 1, or a range
+    that selects no value.
+    """
+    parts = text.split("..")
+    values = []
+    try:
+        if len(parts) == 1:
+            values = [int(x) for x in text.split(",")]
+        elif len(parts) <= 3:
+            step = int(parts[2]) if len(parts) == 3 else 1
+            if step >= 1:
+                values = list(range(int(parts[0]), int(parts[1]) + 1, step))
+    except ValueError:
+        pass                               # not an integer: reported below
+    if not values:
+        raise ValidationError(f"range {text!r}: expected A..B, A..B..STEP with "
+                              "STEP >= 1, or comma-separated integers, "
+                              "selecting at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,6 +68,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        if args.command == "run":
+            if args.seed is not None:
+                seeds = [args.seed]
+            elif args.seeds is not None:
+                seeds = _parse_range(args.seeds)
+            else:
+                seeds = scenario.seeds
+        elif args.command == "sweep":
+            if args.seeds < 1:
+                raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
+            seeds = list(range(1, args.seeds + 1))
+            calls, bg = _parse_range(args.calls), _parse_range(args.bg)
     except (ParseError, ValidationError) as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 1
@@ -71,18 +97,9 @@ def main(argv=None) -> int:
         out_path = os.path.join(args.out, f"{stem}.{ext}")
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
-            if args.seed is not None:
-                seeds = [args.seed]
-            elif args.seeds is not None:
-                seeds = _parse_range(args.seeds)
-            else:
-                seeds = scenario.seeds
             result = single_run_result(scenario, seeds)
         else:
-            seeds = list(range(1, args.seeds + 1))
-            result = sweep(scenario, _parse_range(args.calls),
-                           _parse_range(args.bg), seeds,
-                           keep_flow_details=True)
+            result = sweep(scenario, calls, bg, seeds, keep_flow_details=True)
         for written in export(result, args.format, out_path):
             print(written)
         return 0

@@ -264,10 +264,13 @@ class Medium:
             self.on_tx_failure(link.transmitter(forward), link.receiver(forward),
                                link_idx, t_done)
 
-    def broadcast(self, node_id: int, bits: float, deliver):
+    def broadcast(self, node_id: int, bits: float, deliver, wanted=None):
         """One unreliable transmission per radio; no retries, no ACKs.
 
         deliver(neighbor_id, link_idx, t_arrive) fires per reached neighbor.
+        With wanted given, the arrival is scheduled only for reached
+        neighbors where wanted(neighbor_id) is true; airtime and the delivery
+        draws are the same either way, so the run's randomness is too.
         """
         engine = self.engine
         now = engine.now
@@ -285,7 +288,7 @@ class Medium:
                 self._cur_air[slot] += air
                 self._win_air[slot] += air
                 engine.stats.frames_sent += 1
-            if random() < odds[d]:
+            if random() < odds[d] and (wanted is None or wanted(nbr)):
                 t_arrive = now + bits / link.capacity
                 engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
 

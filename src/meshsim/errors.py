@@ -44,10 +44,6 @@ class DeadLink(MeshSimError):
     """Link delivery ratio below the usability floor; cost is unbounded."""
 
 
-class NoGateway(MeshSimError):
-    """No unexpired gateway announcement is known to this node."""
-
-
 class NoRoute(MeshSimError):
     """No usable route between the requested endpoints."""
 

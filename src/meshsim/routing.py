@@ -10,12 +10,12 @@ reroute locally) from genuine link death (flood a topology change).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from . import metrics
-from .errors import DeadLink, NoGateway, check_ranges
+from .errors import DeadLink, check_ranges
 from .metrics import ElpParams, LinkStats
 
 
@@ -60,23 +60,34 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
 
     Deterministic tiebreak: lower cost, then fewer hops, then lowest
     lexicographic node-id path. graph[u][v] is the directed cost u -> v.
+    The table lists destinations in the order they settle.
+
+    Labels (cost, hops, path) are totally ordered and distinct per path, so
+    the heap pops them in the same order whatever order they were pushed
+    in, and a label no better than one already pushed for its node would
+    only be popped after it and skipped: it is never pushed.
     """
-    settled: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-    heap = [(0.0, 0, (source,))]
+    start = (0.0, 0, (source,))
+    best = {source: start}
+    settled = set()
+    heap = [start]
+    table = {}
     while heap:
-        cost, hops, path = heapq.heappop(heap)
+        cost, hops, path = heappop(heap)
         u = path[-1]
         if u in settled:
             continue
-        settled[u] = (cost, hops, path)
-        for v in sorted(graph.get(u, ())):
-            if v not in settled:
-                heapq.heappush(heap, (cost + graph[u][v], hops + 1, path + (v,)))
-    table = {}
-    for dest, (cost, _hops, path) in settled.items():
-        if dest == source:
-            continue
-        table[dest] = Route(dest, path[1], cost, path)
+        settled.add(u)
+        if u != source:
+            table[u] = Route(u, path[1], cost, path)
+        for v, c in graph.get(u, {}).items():
+            if v in settled:
+                continue
+            cand = (cost + c, hops + 1, path + (v,))
+            old = best.get(v)
+            if old is None or cand < old:
+                best[v] = cand
+                heappush(heap, cand)
     return table
 
 
@@ -121,7 +132,7 @@ class Router:
         # neighbor node -> {link_idx: NeighborLink}
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
         self.db: dict[int, dict] = {}            # origin -> {seq, expires, links}
-        self.hna: dict[int, dict] = {}           # origin -> {seq, expires}
+        self.hna: dict[int, int] = {}            # origin -> last HNA seq
         self._seq = {"tc": 0, "hna": 0}          # our last originated seq per type
         self.table: dict[int, Route] = {}
         self.dirty = True
@@ -283,30 +294,45 @@ class Router:
                               "seq": self._seq[kind], **body})
 
     def _broadcast_ctrl(self, msg):
+        """Send a flood copy; schedule it only where receive_control takes it.
+
+        A neighbor that is the origin, or that already holds this seq or a
+        newer one, drops the copy on arrival. Kept seqs only grow, so that
+        is already certain when the copy is sent.
+        """
+        origin, seq, peers = msg["origin"], msg["seq"], self.peers
+        if msg["type"] == "tc":
+            def wanted(nbr):
+                entry = peers[nbr].db.get(origin)
+                return nbr != origin and (entry is None or entry["seq"] < seq)
+        else:
+            def wanted(nbr):
+                return nbr != origin and peers[nbr].hna.get(origin, 0) < seq
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
-            lambda nbr, li, tt, m=msg: self.peers[nbr].receive_control(m, tt))
+            lambda nbr, li, tt: peers[nbr].receive_control(msg, tt), wanted)
 
     def receive_control(self, msg, t):
         """Accept a TC or HNA flood newer than what we hold; re-flood it once.
 
-        An originator's seq only grows and kept entries are never removed,
-        so a seq at or below the kept one is a duplicate or stale copy.
+        An originator's seq only grows from 1 and kept entries are never
+        removed, so a seq at or below the kept one is a duplicate or stale
+        copy. _broadcast_ctrl applies the same test before sending.
         """
         origin, seq = msg["origin"], msg["seq"]
         if origin == self.node_id:
             return
-        tc = msg["type"] == "tc"
-        kept = self.db if tc else self.hna
-        entry = kept.get(origin)
-        if entry is not None and seq <= entry["seq"]:
-            return
-        expires = t + self.params.hold_multiplier * self.params.tc_interval
-        if tc:
-            kept[origin] = {"seq": seq, "expires": expires, "links": msg["links"]}
+        if msg["type"] == "tc":
+            entry = self.db.get(origin)
+            if entry is not None and seq <= entry["seq"]:
+                return
+            expires = t + self.params.hold_multiplier * self.params.tc_interval
+            self.db[origin] = {"seq": seq, "expires": expires, "links": msg["links"]}
             self.dirty = True
         else:
-            kept[origin] = {"seq": seq, "expires": expires}
+            if seq <= self.hna.get(origin, 0):
+                return
+            self.hna[origin] = seq
         self._broadcast_ctrl(msg)
 
     # -- route computation ----------------------------------------------
@@ -382,22 +408,6 @@ class Router:
             self._recompute(self.engine.now)
             r = self.table.get(dest)
         return r
-
-    def resolve_gateway(self) -> Route:
-        """Least-cost route to any node with an unexpired gateway announcement."""
-        now = self.engine.now
-        best = None
-        for origin in sorted(self.hna):
-            if self.hna[origin]["expires"] < now:
-                continue
-            r = self.table.get(origin)
-            if r is not None and (best is None or r.path_cost < best.path_cost):
-                best = r
-        if self.is_server:
-            return Route(self.node_id, self.node_id, 0.0, (self.node_id,))
-        if best is None:
-            raise NoGateway(f"node {self.node_id}: no gateway announcement heard")
-        return best
 
     # -- route maintenance ----------------------------------------------
 

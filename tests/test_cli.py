@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 import yaml
 
 import meshsim
@@ -29,10 +30,36 @@ def write_tiny(tmp_path, **kw):
     return path
 
 
+def _cli(argv):
+    """Run the meshsim CLI in a fresh interpreter on this checkout's source."""
+    src = os.path.dirname(os.path.dirname(meshsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "meshsim.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_parse_range_forms():
     assert _parse_range("1..5") == [1, 2, 3, 4, 5]
     assert _parse_range("1..9..4") == [1, 5, 9]
     assert _parse_range("2,7,11") == [2, 7, 11]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--seeds", "1..x"],
+    ["run", "--seeds", "5..1"],
+    ["run", "--seeds", "1..2..3..4"],
+    ["sweep", "--calls", "a", "--bg", "1"],
+    ["sweep", "--calls", "1", "--bg", "1..2..0"],
+    ["sweep", "--calls", "1", "--bg", "1", "--seeds", "0"],
+])
+def test_bad_range_is_one_scenario_error(tmp_path, args):
+    path = write_tiny(tmp_path)
+    out_dir = tmp_path / "out"
+    proc = _cli([args[0], str(path), *args[1:], "--out", str(out_dir)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("scenario error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out_dir.exists()            # nothing run, nothing written
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -87,10 +114,7 @@ def test_validate_out_of_range_value_exits_one(tmp_path):
     raw = yaml.safe_load(path.read_text())
     raw["protocol"] = {"elp": {"w": 0.3}}
     path.write_text(yaml.safe_dump(raw))
-    src = os.path.dirname(os.path.dirname(meshsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "meshsim.cli", "validate", str(path)],
-                          capture_output=True, text=True, env=env)
+    proc = _cli(["validate", str(path)])
     assert proc.returncode == 1
     assert "scenario error" in proc.stderr and "protocol.elp" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,8 +5,9 @@ import pytest
 from meshsim.engine import Engine, MacParams, Medium, rng_stream
 from meshsim.metrics import BUSY_MAX
 from meshsim.errors import PastTime, UnknownLink
+from meshsim.topology import build_topology
 
-from conftest import two_node_topology
+from conftest import make_nodes, two_node_topology
 
 
 def test_schedule_at_now_runs_before_later_events():
@@ -185,3 +186,26 @@ def test_broadcast_never_reaches_over_dead_link():
     med.broadcast(0, 512, lambda nbr, li, t: got.append(nbr))
     eng.run_until(1.0)
     assert got == []
+
+
+def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
+    # node 0 reaches 1, 2 and 3; the draw toward 3 is a real coin
+    topo = build_topology(make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)]),
+                          overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 0.5})
+    runs = []
+    for wanted in (None, lambda nbr: nbr != 2):
+        eng = Engine(5)
+        med = Medium(topo, eng)
+        got = []
+        queued = len(eng._heap)
+        for _ in range(20):
+            med.broadcast(0, 512, lambda nbr, li, t: got.append(nbr), wanted)
+        scheduled = len(eng._heap) - queued
+        eng.run_until(1.0)
+        runs.append(((med._rng.getstate(), list(med._win_air), eng.stats.frames_sent),
+                     got, scheduled))
+    (state, got, scheduled), (state_w, got_w, scheduled_w) = runs
+    assert state_w == state                # same coins, airtime and frame count
+    assert got_w == [nbr for nbr in got if nbr != 2]
+    assert 2 in got and 2 not in got_w
+    assert scheduled == len(got) and scheduled_w == len(got_w)

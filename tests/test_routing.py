@@ -1,9 +1,10 @@
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshsim.engine import rng_stream
-from meshsim.errors import NoGateway
-from meshsim.routing import (Route, Router, RoutingParams, compute_routes,
-                             maybe_switch_route)
+from meshsim.routing import Route, compute_routes, maybe_switch_route
 
 from conftest import make_net
 
@@ -90,6 +91,59 @@ def test_elp_prefers_clean_two_hop_over_lossy_shortcut():
     assert compute_routes(hop_g, 0)[2].path == (0, 2)
 
 
+def reference_compute_routes(graph, source):
+    """compute_routes as it was before label pruning, kept as the oracle."""
+    settled = {}
+    heap = [(0.0, 0, (source,))]
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled[u] = (cost, hops, path)
+        for v in sorted(graph.get(u, ())):
+            if v not in settled:
+                heapq.heappush(heap, (cost + graph[u][v], hops + 1, path + (v,)))
+    table = {}
+    for dest, (cost, _hops, path) in settled.items():
+        if dest == source:
+            continue
+        table[dest] = Route(dest, path[1], cost, path)
+    return table
+
+
+# all-equal costs tie on cost; the fractions tie again after float rounding
+COST_FAMILIES = {
+    "hop": st.just(1.0),
+    "fractions": st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7]),
+    "uniform": st.floats(0.01, 10.0),
+}
+
+
+@st.composite
+def advertised_graphs(draw):
+    """Directed graphs on nodes 0..n; some nodes advertise no links at all."""
+    n = draw(st.integers(1, 12))
+    cost = COST_FAMILIES[draw(st.sampled_from(sorted(COST_FAMILIES)))]
+    graph = {}
+    for u in range(n):
+        if draw(st.booleans()) or u == 0:
+            graph[u] = draw(st.dictionaries(st.integers(0, n), cost, max_size=n))
+    return graph, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(advertised_graphs())
+def test_compute_routes_matches_reference(case):
+    graph, n = case
+    for source in range(n + 1):
+        got = [(d, r.next_hop, r.path_cost, r.path)
+               for d, r in compute_routes(graph, source).items()]
+        want = [(d, r.next_hop, r.path_cost, r.path)
+                for d, r in reference_compute_routes(graph, source).items()]
+        assert got == want                 # same routes in the same order
+
+
 # -- hysteresis -------------------------------------------------------------
 
 def _route(cost):
@@ -131,14 +185,29 @@ def test_tc_duplicate_and_stale_are_ignored():
     assert router.db[7]["seq"] == 5            # stale seq: ignored
     hna = {"type": "hna", "origin": 7, "seq": 2}
     router.receive_control(hna, 4.3)
-    assert router.hna[7]["seq"] == 2           # HNA seqs are kept apart
-    expires = router.hna[7]["expires"]
-    router.receive_control(dict(hna), 9.0)
-    assert router.hna[7]["expires"] == expires  # duplicate: not refreshed
+    assert router.hna[7] == 2                  # HNA seqs are kept apart
     assert sent == [msg, hna]                  # each flood re-flooded once
     router.receive_control({"type": "tc", "origin": 0, "seq": 99,
                             "links": {}}, 9.1)
     assert sent == [msg, hna] and 0 not in router.db   # own flood: dropped
+
+
+def test_hna_receive_keeps_newest_seq_and_refloods_it_once():
+    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}, server=0).run(4.0)
+    router = net.routers[1]
+    sent = []
+    router._broadcast_ctrl = sent.append
+    hna = {"type": "hna", "origin": 7, "seq": 2}
+    router.receive_control(hna, 4.0)
+    assert router.hna[7] == 2 and sent == [hna]       # accepted, re-flooded
+    router.receive_control(dict(hna), 4.1)            # duplicate
+    router.receive_control({"type": "hna", "origin": 7, "seq": 1}, 4.2)  # stale
+    assert router.hna[7] == 2 and sent == [hna]
+    router.receive_control({"type": "hna", "origin": 1, "seq": 99}, 4.3)
+    assert 1 not in router.hna and sent == [hna]      # own flood: dropped
+    newer = {"type": "hna", "origin": 7, "seq": 3}
+    router.receive_control(newer, 4.4)
+    assert router.hna[7] == 3 and sent == [hna, newer]
 
 
 def test_tc_flood_crosses_five_node_line():
@@ -207,30 +276,58 @@ def test_suppression_strikes_force_down():
     assert any("tx_failure" in info for (_t, info) in net.events(0, "link_down"))
 
 
-def test_single_server_gateway_matches_route():
+def test_hna_floods_reach_every_node_but_their_origin():
     pos = [(i * 10, 0) for i in range(3)]
     ovr = {(i, i + 1): 1.0 for i in range(2)}
     net = make_net(pos, overrides=ovr, server=0).run(8.0)
-    gw = net.routers[2].resolve_gateway()
-    assert gw.dest == 0
-    assert gw.path == net.routers[2].table[0].path
+    assert set(net.routers[1].hna) == set(net.routers[2].hna) == {0}
+    assert net.routers[2].hna[0] == net.routers[0]._seq["hna"]
+    assert net.routers[0].hna == {}
 
 
-def test_no_hna_means_no_gateway():
-    pos = [(0, 0), (10, 0)]
-    net = make_net(pos, overrides={(0, 1): 1.0}, server=0)
-    with pytest.raises(NoGateway):
-        net.routers[1].resolve_gateway()   # nothing announced yet
-
-
-def test_two_servers_tiebreak_lowest_id():
+def test_two_servers_announce_separately():
     pos = [(0, 0), (10, 0), (20, 0)]
     nodes_net = make_net(pos, overrides={(0, 1): 1.0, (1, 2): 1.0}, server=0)
     nodes_net.routers[2].is_server = True  # both ends announce
     net = nodes_net.run(8.0)
-    gw = net.routers[1].resolve_gateway()
-    assert gw.dest == 0                    # equal cost: lowest id wins
-    assert net.routers[0].resolve_gateway().dest == 0   # server is its own
+    assert set(net.routers[1].hna) == {0, 2}
+    assert set(net.routers[0].hna) == {2} and set(net.routers[2].hna) == {0}
+
+
+def test_flood_copies_reach_only_nodes_that_accept_them():
+    # on a lossless line every copy a neighbor could still accept is the
+    # first it hears, so every copy that arrives must be taken
+    pos = [(i * 30, 0) for i in range(5)]
+    ovr = {(i, i + 1): 1.0 for i in range(4)}
+    net = make_net(pos, overrides=ovr, server=0)
+    sender, copies = [None], []
+    broadcast = net.medium.broadcast
+
+    def tagged_broadcast(node_id, bits, deliver, wanted=None):
+        def tagged(nbr, li, t):
+            sender[0] = node_id
+            deliver(nbr, li, t)
+        broadcast(node_id, bits, tagged, wanted)
+    net.medium.broadcast = tagged_broadcast
+
+    for router in net.routers.values():
+        def spy(msg, t, r=router, receive=router.receive_control):
+            origin = msg["origin"]
+            if msg["type"] == "tc":
+                held = r.db[origin]["seq"] if origin in r.db else 0
+            else:
+                held = r.hna.get(origin, 0)
+            copies.append((sender[0], r.node_id, msg["type"], origin,
+                           msg["seq"], held))
+            receive(msg, t)
+        router.receive_control = spy
+    net.run(12.0)
+    assert {(c[1], c[2], c[3]) for c in copies} >= {(4, "tc", 0), (4, "hna", 0),
+                                                    (0, "tc", 4)}
+    assert all(rx != origin for (_s, rx, _k, origin, _q, _h) in copies)
+    keys = [c[:5] for c in copies]
+    assert len(keys) == len(set(keys))     # one copy per sender and seq
+    assert all(held < seq for (*_, seq, held) in copies)
 
 
 def test_suppressed_link_penalized_until_release():
