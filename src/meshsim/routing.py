@@ -67,10 +67,9 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
     in, and a label no better than one already pushed for its node would
     only be popped after it and skipped: it is never pushed.
     """
-    start = (0.0, 0, (source,))
-    best = {source: start}
+    best = {}
     settled = set()
-    heap = [start]
+    heap = [(0.0, 0, (source,))]
     table = {}
     while heap:
         cost, hops, path = heappop(heap)
