@@ -112,7 +112,8 @@ def reference_compute_routes(graph, source):
     return table
 
 
-# all-equal costs tie on cost; the fractions tie again after float rounding
+# all-1.0 costs tie on cost; sums of these fractions tie, or miss a tie by
+# one float rounding step (0.1 + 0.2 != 0.3)
 COST_FAMILIES = {
     "hop": st.just(1.0),
     "fractions": st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7]),
