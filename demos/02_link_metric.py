@@ -7,41 +7,43 @@ the capacity term makes slow links expensive. Hop count treats all of
 these links as equal, which is exactly its problem.
 """
 
-from meshsim import ElpParams, LinkStats, elp_link, elp_path, hop_count_metric
-from meshsim.metrics import record_probe
+from meshsim import ElpParams, elp_link
 
 params = ElpParams(w=0.75, ref_rate=12e6)
 
 print("link variants, one factor degraded at a time:")
 cases = [
-    ("clean, fast, idle     ", LinkStats(d_f=1.0, d_r=1.0, busy=0.0, capacity=12e6)),
-    ("50% forward loss      ", LinkStats(d_f=0.5, d_r=1.0, busy=0.0, capacity=12e6)),
-    ("50% reverse loss      ", LinkStats(d_f=1.0, d_r=0.5, busy=0.0, capacity=12e6)),
-    ("half the channel busy ", LinkStats(d_f=1.0, d_r=1.0, busy=0.5, capacity=12e6)),
-    ("half-rate radio       ", LinkStats(d_f=1.0, d_r=1.0, busy=0.0, capacity=6e6)),
-    ("all three at once     ", LinkStats(d_f=0.5, d_r=1.0, busy=0.5, capacity=6e6)),
+    # name                     d_f  d_r  busy  capacity
+    ("clean, fast, idle     ", 1.0, 1.0, 0.0, 12e6),
+    ("50% forward loss      ", 0.5, 1.0, 0.0, 12e6),
+    ("50% reverse loss      ", 1.0, 0.5, 0.0, 12e6),
+    ("half the channel busy ", 1.0, 1.0, 0.5, 12e6),
+    ("half-rate radio       ", 1.0, 1.0, 0.0, 6e6),
+    ("all three at once     ", 0.5, 1.0, 0.5, 6e6),
 ]
-for name, stats in cases:
-    print(f"  {name} cost {elp_link(stats, params):7.3f}   "
-          f"hop count {hop_count_metric():.0f}")
+for name, d_f, d_r, busy, capacity in cases:
+    print(f"  {name} cost {elp_link(d_f, d_r, busy, capacity, params):7.3f}   "
+          f"hop count 1")
 
 print("\nforward loss hurts more than reverse loss: data frames need many")
 print("retransmissions, ACKs are small. The asymmetry exponent w=0.75")
 print("encodes that.")
 
 # path comparison the routing layer faces constantly: a lossy shortcut
-# against a clean dogleg
-shortcut = elp_link(LinkStats(d_f=0.5, d_r=1.0, busy=0.5, capacity=6e6), params)
-clean = elp_link(LinkStats(d_f=0.98, d_r=0.98, busy=0.0, capacity=12e6), params)
-print(f"\n1-hop lossy shortcut : cost {elp_path([shortcut]):.3f}")
-print(f"2-hop clean path     : cost {elp_path([clean, clean]):.3f}")
+# against a clean dogleg; a path costs the sum of its link costs
+shortcut = elp_link(0.5, 1.0, 0.5, 6e6, params)
+clean = elp_link(0.98, 0.98, 0.0, 12e6, params)
+print(f"\n1-hop lossy shortcut : cost {shortcut:.3f}")
+print(f"2-hop clean path     : cost {clean + clean:.3f}")
 print("ELP picks the 2-hop path; hop count would pick the shortcut (1 < 2)")
 
-# link estimation in motion: EWMA over probe outcomes
-stats = LinkStats(d_f=1.0, d_r=1.0, capacity=12e6)
-print("\nprobe smoothing (alpha 0.1), link degrades to 50% halfway:")
+# link estimation in motion: each HELLO interval the router folds whether it
+# heard the neighbor (x = 1 or 0) into the reverse delivery ratio, as
+# d_r = (1 - alpha) * d_r + alpha * x; the neighbor reports it back as our d_f
+alpha, d_r = 0.1, 1.0
+print(f"\nHELLO smoothing (alpha {alpha}), link degrades to 50% halfway:")
 for i in range(40):
-    received = True if i < 20 else (i % 2 == 0)
-    record_probe(stats, "fwd", received, alpha=0.1)
+    x = 1.0 if i < 20 or i % 2 == 0 else 0.0
+    d_r = (1.0 - alpha) * d_r + alpha * x
     if i % 10 == 9:
-        print(f"  after probe {i + 1:2d}: d_f = {stats.d_f:.3f}")
+        print(f"  after HELLO {i + 1:2d}: d_r = {d_r:.3f}")

@@ -14,8 +14,7 @@ from .engine import Engine, EngineStats, MacParams, Medium, TransmitOutcome, rng
 from .errors import *  # noqa: F401,F403
 from .harness import (ExperimentResult, MetricsReport, Simulation,
                       confidence_interval, export, run_scenario, sweep)
-from .metrics import (ElpParams, LinkStats, elp_link, elp_path, hop_count_metric,
-                      record_probe)
+from .metrics import ElpParams, elp_link
 from .qos import AdmissionLedger, Admit, FlowSpec, Reject, flow_airtime
 from .routing import Route, Router, RoutingParams, compute_routes, maybe_switch_route
 from .scenario import Scenario, load_scenario

@@ -1,6 +1,7 @@
 """Command line front end: run, sweep, validate.
 
-Exit codes: 0 success, 1 scenario validation/parse error, 2 runtime error.
+Exit codes: 0 success, 1 usage error or scenario validation/parse error,
+2 runtime error.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .errors import MeshSimError, ParseError, ValidationError
+from .errors import IoError, MeshSimError, ParseError, ValidationError
 from .harness import export, single_run_result, sweep
 from .scenario import load_scenario
 
@@ -38,9 +39,16 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit 1, like a bad scenario."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="meshsim",
-                                description="Mesh network experiment runner")
+    p = _Parser(prog="meshsim", description="Mesh network experiment runner")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario across seeds")
@@ -95,11 +103,14 @@ def main(argv=None) -> int:
         stem = os.path.splitext(os.path.basename(args.scenario))[0]
         ext = "csv" if args.format == "csv" else "json"
         out_path = os.path.join(args.out, f"{stem}.{ext}")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise IoError(f"{args.out}: {e}")
         if args.command == "run":
             result = single_run_result(scenario, seeds)
         else:
-            result = sweep(scenario, calls, bg, seeds, keep_flow_details=True)
+            result = sweep(scenario, calls, bg, seeds)
         for written in export(result, args.format, out_path):
             print(written)
         return 0

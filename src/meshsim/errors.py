@@ -40,10 +40,6 @@ class PastTime(MeshSimError):
     """Attempt to schedule an event before the current virtual clock."""
 
 
-class DeadLink(MeshSimError):
-    """Link delivery ratio below the usability floor; cost is unbounded."""
-
-
 class NoRoute(MeshSimError):
     """No usable route between the requested endpoints."""
 

@@ -92,11 +92,11 @@ class MetricsReport:
                          "jitter_s": f.jitter})
         return rows
 
-    def aggregate(self, kinds=MEASURED_KINDS):
+    def aggregate(self):
         """Per-run scalars: mean over measured flows that carried traffic."""
         vals = {"pdr": [], "plr": [], "delay": [], "jitter": []}
         for f in self.flows:
-            if f.kind not in kinds or f.sent == 0:
+            if f.kind not in MEASURED_KINDS or f.sent == 0:
                 continue
             vals["pdr"].append(f.pdr)
             vals["plr"].append(f.plr)
@@ -238,16 +238,6 @@ class Simulation:
         return MetricsReport(self.stack.flows, list(self.ledger.log),
                              route_changes, self.engine.stats, self.seed)
 
-    def routing_table_dump(self) -> str:
-        """Structured text dump: one block per node, columns as documented."""
-        lines = []
-        for nid in sorted(self.routers):
-            lines.append(f"# node {nid} t={self.engine.now:.3f}")
-            lines.append("dest next_hop cost hops path")
-            for dest, nh, cost, hops, path in self.routers[nid].table_rows():
-                lines.append(f"{dest} {nh} {cost:.6g} {hops} {path}")
-        return "\n".join(lines) + "\n"
-
 
 def run_scenario(scenario: Scenario, seed: int) -> MetricsReport:
     report = Simulation(scenario, seed).run()
@@ -292,27 +282,30 @@ def _with_cell(scenario: Scenario, calls: int, bg: int) -> Scenario:
 
 
 def sweep(scenario: Scenario, calls_grid, bg_grid, seeds,
-          keep_flow_details: bool = False) -> ExperimentResult:
-    """Run the (call count x background load) grid; cells are independent."""
+          keep_flow_details: bool = True) -> ExperimentResult:
+    """Run the (call count x background load) grid; cells are independent.
+
+    Every replica's flow rows are kept. keep_flow_details is not read: it
+    is accepted for callers written when keeping the rows was optional.
+    """
     result = ExperimentResult()
     for calls in calls_grid:
         for bg in bg_grid:
             cell_scn = _with_cell(scenario, calls, bg)
             reports = [run_scenario(cell_scn, seed) for seed in seeds]
             result.cells[(calls, bg)] = _aggregate_cell(reports)
-            if keep_flow_details:
-                for rep in reports:
-                    for row in rep.flow_rows():
-                        row = dict(row, cell_calls=calls, cell_bg_load=bg,
-                                   seed=rep.seed)
-                        result.flow_details.append(row)
+            for rep in reports:
+                for row in rep.flow_rows():
+                    row = dict(row, cell_calls=calls, cell_bg_load=bg,
+                               seed=rep.seed)
+                    result.flow_details.append(row)
     return result
 
 
 def single_run_result(scenario: Scenario, seeds) -> ExperimentResult:
     """Plain runs of one scenario as a one-cell experiment with flow details."""
     return sweep(scenario, [scenario.calls.count], [scenario.calls.background],
-                 seeds, keep_flow_details=True)
+                 seeds)
 
 
 def count_trend_violations(result: ExperimentResult, calls: int, bg_grid,

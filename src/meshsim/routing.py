@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from . import metrics
-from .errors import DeadLink, check_ranges
-from .metrics import ElpParams, LinkStats
+from .errors import check_ranges
+from .metrics import ElpParams
 
 
 @dataclass
@@ -49,10 +49,6 @@ class Route:
     path: tuple[int, ...]
     link_idx: int = -1
     forward: bool = True
-
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
 
 
 def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int, Route]:
@@ -106,7 +102,9 @@ class NeighborLink:
 
     link_idx: int
     forward: bool                     # our transmit direction on the link
-    stats: LinkStats = None
+    capacity: float
+    d_f: float = 1.0                  # delivery ratio us -> neighbor, as reported
+    d_r: float = 1.0                  # delivery ratio neighbor -> us, EWMA of HELLOs
     last_heard: float = -1.0
     heard_since_tick: bool = False
     reported: bool = False            # neighbor has reported hearing us
@@ -155,10 +153,11 @@ class Router:
     def _hello_tick(self):
         now = self.engine.now
         p = self.params
+        alpha = self.elp.ewma_alpha
         for nbr_id in list(self.neighbors):
             for nl in list(self.neighbors[nbr_id].values()):
-                metrics.record_probe(nl.stats, "rev", nl.heard_since_tick,
-                                     self.elp.ewma_alpha)
+                x = 1.0 if nl.heard_since_tick else 0.0
+                nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
                 nl.heard_since_tick = False
         self._expire_neighbors(now)
         self.emit_hello(now)
@@ -168,7 +167,7 @@ class Router:
         ratios = {}
         for nbr_id, links in self.neighbors.items():
             for li, nl in links.items():
-                ratios[li] = nl.stats.d_r      # measured neighbor -> us
+                ratios[li] = nl.d_r            # measured neighbor -> us
         msg = {"type": "hello", "origin": self.node_id, "ratios": ratios}
         self.medium.broadcast(self.node_id, self.params.control_bits,
                               lambda nbr, li, tt, m=msg: self.peers[nbr].process_hello(m, li, tt))
@@ -180,9 +179,7 @@ class Router:
         links = self.neighbors.setdefault(origin, {})
         nl = links.get(link_idx)
         if nl is None:
-            nl = links[link_idx] = NeighborLink(
-                link_idx, forward,
-                stats=LinkStats(d_f=1.0, d_r=1.0, capacity=link.capacity))
+            nl = links[link_idx] = NeighborLink(link_idx, forward, link.capacity)
             self.dirty = True
         nl.last_heard = t
         nl.heard_since_tick = True
@@ -191,7 +188,7 @@ class Router:
             if not nl.reported:
                 self.dirty = True
             nl.reported = True
-            nl.stats.d_f = reported            # our -> neighbor, measured there
+            nl.d_f = reported                  # our -> neighbor, measured there
             a = self.params.long_term_alpha
             nl.long_term_score = (1 - a) * nl.long_term_score + a * reported
 
@@ -223,16 +220,10 @@ class Router:
 
     def _link_cost(self, nl: NeighborLink) -> float | None:
         if self.params.metric == "hop_count":
-            return metrics.hop_count_metric()
-        st = nl.stats
-        try:
-            return metrics.elp_link(
-                LinkStats(d_f=st.d_f, d_r=st.d_r,
-                          busy=self.medium.busy_fraction(nl.link_idx),
-                          capacity=st.capacity),
-                self.elp)
-        except DeadLink:
-            return None
+            return 1.0
+        return metrics.elp_link(nl.d_f, nl.d_r,
+                                self.medium.busy_fraction(nl.link_idx),
+                                nl.capacity, self.elp)
 
     #: routing-time cost multiplier for suppressed links: alternatives win,
     #: but a cut link keeps carrying traffic rather than blackholing
@@ -336,16 +327,14 @@ class Router:
 
     # -- route computation ----------------------------------------------
 
-    def _graph(self, now) -> dict[int, dict[int, float]]:
+    def _graph(self, now, local) -> dict[int, dict[int, float]]:
         graph: dict[int, dict[int, float]] = {}
         for origin in sorted(self.db):
             entry = self.db[origin]
             if entry["expires"] < now:
                 continue
             graph[origin] = entry["links"]
-        local = self._local_links(now)
         graph[self.node_id] = {nbr: cost for nbr, (cost, _li, _f) in local.items()}
-        self._local_cache = local
         return graph
 
     def _recompute_tick(self):
@@ -357,16 +346,16 @@ class Router:
 
     def _recompute(self, now):
         self.dirty = False
-        graph = self._graph(now)
+        local = self._local_links(now)
+        graph = self._graph(now, local)
         fresh = compute_routes(graph, self.node_id)
-        local = self._local_cache
         table = {}
         h = self.params.hysteresis
         for dest in fresh:
             cand = fresh[dest]
-            if cand.next_hop in local:
-                _cost, li, fwd = local[cand.next_hop]
-                cand.link_idx, cand.forward = li, fwd
+            # every path starts with an edge of graph[self.node_id], built from local
+            _cost, li, fwd = local[cand.next_hop]
+            cand.link_idx, cand.forward = li, fwd
             cur = self.table.get(dest)
             cur_valid = cur is not None and cur.next_hop in local and all(
                 hop in graph.get(prev, {})
@@ -463,17 +452,6 @@ class Router:
             self._suppress(neighbor, nl, t, "tx failure burst")
         else:
             self._drop_neighbor_link(neighbor, link_idx, t, "tx_failure")
-
-    # -- introspection ---------------------------------------------------
-
-    def table_rows(self):
-        """Sorted (dest, next_hop, cost, hops, path) rows for dumps."""
-        rows = []
-        for dest in sorted(self.table):
-            r = self.table[dest]
-            rows.append((dest, r.next_hop, r.path_cost, r.hops,
-                         "-".join(str(n) for n in r.path)))
-        return rows
 
 
 def wire_network(routers: dict[int, Router], medium):

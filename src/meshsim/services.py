@@ -163,7 +163,7 @@ class MeshTransport:
             self.no_route_drops += 1
             return
         route = self.routers[node].route_to(dst_node)
-        if route is None or route.link_idx < 0:
+        if route is None:
             self.no_route_drops += 1
             return
         next_hop = route.next_hop
@@ -532,7 +532,7 @@ class ServiceStack:
     """Coordinates calls, broadcasts, and video handshakes over the mesh."""
 
     def __init__(self, net, server: Server, topo, ledger, params: ServiceParams,
-                 medium=None, warmup: float = 0.0):
+                 medium, warmup: float = 0.0):
         self.net = net
         self.server = server
         self.topo = topo
@@ -543,16 +543,8 @@ class ServiceStack:
         self.flows: list[FlowRecord] = []
         self._call_counter = 0
 
-    def _measured_busy(self, anchor_idx):
-        if self.medium is None:
-            return 0.0
-        return self.medium.busy_fraction(anchor_idx)
-
     def _path_links(self, src_node, dst_node):
-        routers = getattr(self.net, "routers", None)
-        if routers is None:
-            return []
-        route = routers[src_node].route_to(dst_node)
+        route = self.net.routers[src_node].route_to(dst_node)
         if route is None:
             raise NoRoute(f"{src_node}->{dst_node}")
         return [self.topo.link_between(a, b)
@@ -580,7 +572,7 @@ class ServiceStack:
                 if spec.src == spec.dst:
                     continue                   # one node: no airtime to book
                 path = self._path_links(spec.src, spec.dst)
-                decision = self.ledger.admit(spec, path, self._measured_busy)
+                decision = self.ledger.admit(spec, path, self.medium.busy_fraction)
                 if isinstance(decision, Reject):
                     return decision
                 reserved.append(spec.id)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import meshsim
 from meshsim.cli import _parse_range, main
@@ -118,3 +121,78 @@ def test_validate_out_of_range_value_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "scenario error" in proc.stderr and "protocol.elp" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_usage_errors_exit_one():
+    # one argparse path per kind of mistake, in a fresh interpreter
+    for argv in (["run", "tiny.yaml", "--seed", "x"],
+                 ["sweep", "tiny.yaml", "--calls", "1"],
+                 ["nonsense"], []):
+        proc = _cli(argv)
+        assert proc.returncode == 1, argv
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert _cli(["--help"]).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A runnable two-second scenario, an empty file and a missing one."""
+    root = tmp_path_factory.mktemp("argv")
+    raw = yaml.safe_load(write_tiny(root).read_text())
+    raw["run"].update(duration=2.0, warmup=1.0)
+    raw["workload"]["calls"] = {"count": 1, "duration": 0.5}
+    (root / "tiny.yaml").write_text(yaml.safe_dump(raw))
+    (root / "empty.yaml").write_text("")
+    return root
+
+
+# valid command lines, each edited below by replacing, deleting or inserting
+# palette tokens: subcommands, flags, bad ints and missing or tiny files
+VALID_ARGVS = [
+    ["run", "tiny.yaml", "--seed", "1", "--out", "out"],
+    ["run", "tiny.yaml", "--seeds", "1..2", "--format", "json", "--out", "out"],
+    ["sweep", "tiny.yaml", "--calls", "1", "--bg", "0,1", "--seeds", "1",
+     "--out", "out"],
+    ["validate", "tiny.yaml"],
+]
+PALETTE = ["run", "sweep", "validate", "bogus", "tiny.yaml", "empty.yaml",
+           "missing.yaml", "--seed", "--seeds", "--calls", "--bg", "--format",
+           "--out", "--help", "--bogus", "1", "2", "0", "-1", "x", "1.5", "",
+           "1..2", "1..x", "5..1", "2,1", "json", "xml"]
+
+
+@st.composite
+def argvs(draw):
+    argv = list(draw(st.sampled_from(VALID_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(PALETTE)))
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(PALETTE))
+        else:
+            del argv[i]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=argvs())
+@example(argv=["run", "tiny.yaml", "--seed", "1", "--out", ""])
+def test_any_argv_exits_0_1_or_2_without_traceback(argv_files, argv):
+    # in process, an exception escaping main is what would print a traceback
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_files)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    if "--help" in argv and code == 0:
+        assert "usage:" in stdout.getvalue()

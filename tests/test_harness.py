@@ -208,7 +208,7 @@ def test_open_outage_does_not_leak_into_next_seed(tmp_path):
 
 def test_sweep_grid_counts():
     scn = tiny_scenario()
-    result = sweep(scn, [1, 2], [0, 1], seeds=[1, 2], keep_flow_details=True)
+    result = sweep(scn, [1, 2], [0, 1], seeds=[1, 2])
     assert set(result.cells) == {(1, 0), (1, 1), (2, 0), (2, 1)}
     seeds_seen = {(r["cell_calls"], r["cell_bg_load"], r["seed"])
                   for r in result.flow_details}
@@ -281,8 +281,7 @@ def test_export_deterministic_bytes(tmp_path):
 
 def test_export_csv_cells_are_plain_numbers(tmp_path):
     # the t quantile comes back as np.float64; its repr must not leak into csv
-    result = sweep(tiny_scenario(), [1], [0], seeds=[1, 2],
-                   keep_flow_details=True)
+    result = sweep(tiny_scenario(), [1], [0], seeds=[1, 2])
     export(result, "csv", tmp_path / "out.csv")
     with open(tmp_path / "out.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -300,16 +299,6 @@ def test_export_csv_cells_are_plain_numbers(tmp_path):
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export(ExperimentResult(), "parquet", tmp_path / "x")
-
-
-def test_routing_table_dump_format():
-    from meshsim.harness import Simulation
-    sim = Simulation(tiny_scenario(), seed=1)
-    sim.engine.run_until(8.0)
-    dump = sim.routing_table_dump()
-    assert "# node 0" in dump
-    assert "dest next_hop cost hops path" in dump
-    assert any(line.startswith("2 1 ") for line in dump.splitlines())
 
 
 @pytest.mark.parametrize("workload", [

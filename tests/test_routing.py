@@ -167,7 +167,7 @@ def test_two_nodes_learn_symmetric_routes():
     r10 = net.routers[1].table[0]
     assert r01.path == (0, 1) and r10.path == (1, 0)
     nl = net.routers[0].neighbors[1][0]
-    assert nl.reported and nl.stats.d_f > 0.9
+    assert nl.reported and nl.d_f > 0.9
 
 
 def test_tc_duplicate_and_stale_are_ignored():

@@ -15,7 +15,7 @@ def make_stack(n_clients=2, attach=0):
     net = FakeNet()
     params = ServiceParams()
     server = Server(net, 0, params)
-    stack = ServiceStack(net, server, None, None, params)
+    stack = ServiceStack(net, server, None, None, params, medium=None)
     clients = []
     for i in range(n_clients):
         c = Client(f"c{i}", attach, net, server, params)
