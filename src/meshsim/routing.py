@@ -49,6 +49,11 @@ class Route:
     path: tuple[int, ...]
     link_idx: int = -1
     forward: bool = True
+    # The neighbour record _recompute bound this route to. Every removal
+    # from Router.neighbors goes through _drop_neighbor_link, which
+    # recomputes before any route_to runs, so for a route in Router.table
+    # this is always neighbors[next_hop][link_idx].
+    nl: NeighborLink | None = field(default=None, compare=False, repr=False)
 
 
 def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int, Route]:
@@ -84,6 +89,11 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
                 best[v] = cand
                 heappush(heap, cand)
     return table
+
+
+def _bind(route: Route, nl: "NeighborLink"):
+    """Point route at the neighbour link its first hop uses."""
+    route.link_idx, route.forward, route.nl = nl.link_idx, nl.forward, nl
 
 
 def maybe_switch_route(current: Route | None, candidate: Route | None,
@@ -230,7 +240,7 @@ class Router:
     SUPPRESS_PENALTY = 4.0
 
     def _local_links(self, now, advertise=False):
-        """{neighbor: (cost, link_idx, forward)} over usable links.
+        """{neighbor: (cost, NeighborLink)} of its cheapest usable link.
 
         With advertise=True, suppressed links stay in at plain cost so the
         maintainer never leaks a topology change; for route computation
@@ -254,7 +264,7 @@ class Router:
                 if suppressed and not advertise:
                     cost *= self.SUPPRESS_PENALTY
                 if best is None or cost < best[0]:
-                    best = (cost, li, nl.forward)
+                    best = (cost, nl)
             if best is not None:
                 out[nbr_id] = best
         return out
@@ -270,7 +280,7 @@ class Router:
 
     def flood_tc(self, reason="periodic"):
         now = self.engine.now
-        links = {nbr: cost for nbr, (cost, _li, _f)
+        links = {nbr: cost for nbr, (cost, _nl)
                  in self._local_links(now, advertise=True).items()}
         self.log("tc_flood", reason)
         self._originate("tc", links=links)
@@ -334,7 +344,7 @@ class Router:
             if entry["expires"] < now:
                 continue
             graph[origin] = entry["links"]
-        graph[self.node_id] = {nbr: cost for nbr, (cost, _li, _f) in local.items()}
+        graph[self.node_id] = {nbr: cost for nbr, (cost, _nl) in local.items()}
         return graph
 
     def _recompute_tick(self):
@@ -354,8 +364,7 @@ class Router:
         for dest in fresh:
             cand = fresh[dest]
             # every path starts with an edge of graph[self.node_id], built from local
-            _cost, li, fwd = local[cand.next_hop]
-            cand.link_idx, cand.forward = li, fwd
+            _bind(cand, local[cand.next_hop][1])
             cur = self.table.get(dest)
             cur_valid = cur is not None and cur.next_hop in local and all(
                 hop in graph.get(prev, {})
@@ -375,8 +384,7 @@ class Router:
                 table[dest] = cand
             else:
                 # keep the incumbent; refresh its next-hop link binding
-                _cost, li, fwd = local[cur.next_hop]
-                cur.link_idx, cur.forward = li, fwd
+                _bind(cur, local[cur.next_hop][1])
                 table[dest] = cur
         for dest, cur in self.table.items():
             if dest not in table:
@@ -390,9 +398,7 @@ class Router:
                 self._recompute(self.engine.now)
                 r = self.table.get(dest)
             return r
-        links = self.neighbors.get(r.next_hop)
-        nl = None if links is None else links.get(r.link_idx)
-        if nl is None or self.engine.now < nl.suppressed_until:
+        if self.engine.now < r.nl.suppressed_until:
             self._recompute(self.engine.now)
             r = self.table.get(dest)
         return r

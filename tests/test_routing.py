@@ -1,10 +1,14 @@
 import heapq
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from meshsim import preset_path
 from meshsim.engine import rng_stream
-from meshsim.routing import Route, compute_routes, maybe_switch_route
+from meshsim.harness import Simulation
+from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
+from meshsim.scenario import Scenario
 
 from conftest import make_net
 
@@ -343,3 +347,89 @@ def test_suppressed_link_penalized_until_release():
     assert router.route_to(2).path == (0, 1, 2)
     net.run(12.0)                          # past suppression + recompute
     assert router.route_to(2).path == (0, 2)
+
+
+# -- route_to fast path --------------------------------------------------------
+
+def reference_route_to(router, dest):
+    """Router.route_to as it was before routes carried their NeighborLink,
+    kept as the oracle: it looks the neighbour link up on every call."""
+    r = router.table.get(dest)
+    if r is None:
+        if router.dirty:
+            router._recompute(router.engine.now)
+            r = router.table.get(dest)
+        return r
+    links = router.neighbors.get(r.next_hop)
+    nl = None if links is None else links.get(r.link_idx)
+    if nl is None or router.engine.now < nl.suppressed_until:
+        router._recompute(router.engine.now)
+        r = router.table.get(dest)
+    return r
+
+
+def bound_to_its_neighbor_link(router, r):
+    return r.nl is router.neighbors.get(r.next_hop, {}).get(r.link_idx)
+
+
+def churn_scenario(maintenance):
+    # calls over 0<->1 and 1<->2 while both pairs go through long outages,
+    # so links are suppressed, dropped on missed HELLOs and on tx failures
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    # one suppression per link, so a silent link is dropped on its next strike
+    raw["protocol"]["routing"] = {"maintenance": maintenance, "max_suppressions": 1}
+    raw["run"].update(duration=30.0, warmup=4.0)
+    raw["workload"]["calls"].update(count=3, background=2, start=4.0)
+    raw["workload"]["actions"] = [
+        {"at": 6.0, "kind": "outage", "a": 0, "b": 1, "duration": 18.0},
+        {"at": 7.0, "kind": "outage", "a": 1, "b": 2, "duration": 4.0},
+        {"at": 9.0, "kind": "outage", "a": 8, "b": 9, "duration": 15.0},
+        {"at": 12.0, "kind": "outage", "a": 1, "b": 2, "duration": 14.0},
+    ]
+    return Scenario.from_dict(raw, "route-to-churn")
+
+
+def route_to_log(monkeypatch, maintenance, lookup):
+    """Every route_to call of one run as (t, node, dest, route fields)."""
+    calls = []
+
+    def logged(router, dest):
+        r = lookup(router, dest)
+        calls.append((router.engine.now, router.node_id, dest, None if r is None
+                      else (r.next_hop, r.path_cost, r.path, r.link_idx, r.forward)))
+        return r
+    monkeypatch.setattr(Router, "route_to", logged)
+    sim = Simulation(churn_scenario(maintenance), 1)
+    sim.run()
+    monkeypatch.undo()
+    kinds = [(kind, info.split()[-1]) for r in sim.routers.values()
+             for (_t, kind, info) in r.events]
+    return calls, kinds
+
+
+@pytest.mark.parametrize("maintenance", [True, False])
+def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
+    fast = Router.route_to
+    unbound = []
+
+    def checked(router, dest):
+        before = router.table.get(dest)
+        if before is not None and not bound_to_its_neighbor_link(router, before):
+            unbound.append((router.engine.now, router.node_id, dest))
+        r = fast(router, dest)
+        if r is not None and not bound_to_its_neighbor_link(router, r):
+            unbound.append((router.engine.now, router.node_id, dest))
+        return r
+
+    got, kinds = route_to_log(monkeypatch, maintenance, checked)
+    want, _ = route_to_log(monkeypatch, maintenance, reference_route_to)
+    assert unbound == []
+    assert len(got) == len(want) and got == want
+    # the run exercised what could unbind a route
+    drops = {reason for kind, reason in kinds if kind == "link_down"}
+    if maintenance:
+        assert any(kind == "suppress" for kind, _reason in kinds)
+        assert "neighbor_lost" in drops
+    else:
+        assert {"tx_failure", "neighbor_lost"} <= drops
