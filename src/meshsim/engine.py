@@ -88,6 +88,9 @@ class Engine:
         return self.stats
 
 
+_new_tuple = tuple.__new__
+
+
 class TransmitOutcome(NamedTuple):
     delivered: bool
     attempts: int             # total attempts, 1..retry_limit
@@ -118,6 +121,13 @@ class Medium:
     forward direction and 2 * link index + 1 for the reverse one. Delivery
     odds are per-run state too: an outage zeroes them here and leaves the
     shared Topology untouched.
+
+    Two lists built once spare the hot paths their attribute lookups:
+    _capacity holds each link's capacity by link index, and _fanout maps a
+    node to its broadcast fan-out, one (neighbor, link index, directed
+    index, capacity, slot) entry per adjacent link in adjacency order, where
+    slot is the transmitter slot that books the airtime on the first entry
+    of each channel and None on the others.
     """
 
     BUCKETS = 5
@@ -127,6 +137,7 @@ class Medium:
         self.engine = engine
         self.params = params or MacParams()
         self._rng = engine.rng("mac")
+        self._random = self._rng.random
         # enumerate (node, channel) transmitter slots
         self._slot_of: dict[tuple[int, int], int] = {}
         for nid in sorted(topo.nodes):
@@ -153,6 +164,19 @@ class Medium:
             self._tx_slot.append(self._slot_of[(link.dst, link.channel)])
             self._p.append(link.p_deliver_fwd)
             self._p.append(link.p_deliver_rev)
+        self._capacity = [link.capacity for link in topo.links]
+        self._fanout: dict[int, list[tuple[int, int, int, float, int | None]]] = {}
+        for nid, adjacent in topo.adjacency.items():
+            entries, channels = [], set()
+            for nbr, link_idx, fwd in adjacent:
+                link = topo.links[link_idx]
+                d = 2 * link_idx + (not fwd)
+                slot = None
+                if link.channel not in channels:
+                    channels.add(link.channel)
+                    slot = self._tx_slot[d]
+                entries.append((nbr, link_idx, d, link.capacity, slot))
+            self._fanout[nid] = entries
         self._busy_until = [0.0] * (2 * n)
         self._pending = [0] * (2 * n)
         self._cuts = [0] * n
@@ -189,14 +213,14 @@ class Medium:
     def transmit(self, frame_size: float, link_idx: int, forward: bool,
                  t_start: float) -> TransmitOutcome:
         """Bernoulli attempt sequence on one directed link, no queueing."""
-        links = self.topo.links
-        if link_idx < 0 or link_idx >= len(links):
+        capacity = self._capacity
+        if link_idx < 0 or link_idx >= len(capacity):
             raise UnknownLink(f"link index {link_idx}")
         if frame_size <= 0:
             raise ValueError("frame_size must be > 0")
         d = 2 * link_idx + (not forward)
         p = self._p[d]
-        air = frame_size / links[link_idx].capacity
+        air = frame_size / capacity[link_idx]
         # busy_fraction's cache check, inlined: most frames hit the cache
         if self.engine.now - self._busy_cache_t[link_idx] < 0.05:
             b = self._busy_cache[link_idx]
@@ -205,23 +229,28 @@ class Medium:
         params = self.params
         base = params.base_access_delay
         rate = (1.0 - b) / base
-        random = self._rng.random
+        random = self._random
+        limit = params.retry_limit
         t = t_start
         airtime = 0.0
-        delivered = False
         attempts = 0
-        # the access delay is random.expovariate(rate), drawn inline
-        for k in range(params.retry_limit):
-            attempts += 1
-            t += -log(1.0 - random()) / rate + k * base + air
+        # the access delay is random.expovariate(rate), drawn inline; a while
+        # loop spares building a range per frame
+        while True:
+            t += -log(1.0 - random()) / rate + attempts * base + air
             airtime += air
+            attempts += 1
             if random() < p:
                 delivered = True
+                break
+            if attempts >= limit:
+                delivered = False
                 break
         slot = self._tx_slot[d]
         self._cur_air[slot] += airtime
         self._win_air[slot] += airtime
-        return TransmitOutcome(delivered, attempts, t, airtime)
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        return _new_tuple(TransmitOutcome, (delivered, attempts, t, airtime))
 
     def send_frame(self, link_idx: int, forward: bool, bits: float,
                    on_delivered=None):
@@ -232,17 +261,20 @@ class Medium:
         """
         d = 2 * link_idx + (not forward)
         engine = self.engine
-        if self._pending[d] >= self.params.queue_limit:
+        pending = self._pending
+        if pending[d] >= self.params.queue_limit:
             engine.stats.frames_dropped += 1
             return
         start = self._busy_until[d]
-        if start < engine.now:
-            start = engine.now
-        out = self.transmit(bits, link_idx, forward, start)
-        t_done = self._busy_until[d] = out.completion_time
-        self._pending[d] += 1
+        now = engine.now
+        if start < now:
+            start = now
+        delivered, _attempts, t_done, _air = self.transmit(bits, link_idx,
+                                                           forward, start)
+        self._busy_until[d] = t_done
+        pending[d] += 1
         engine.stats.frames_sent += 1
-        if out.delivered:
+        if delivered:
             done = partial(self._delivered, d, on_delivered, t_done)
         else:
             done = partial(self._failed, d, t_done)
@@ -274,22 +306,18 @@ class Medium:
         """
         engine = self.engine
         now = engine.now
-        random = self._rng.random
-        links = self.topo.links
+        random = self._random
         odds = self._p
-        sent_channels = set()
-        for nbr, link_idx, fwd in self.topo.adjacency.get(node_id, ()):
-            link = links[link_idx]
-            d = 2 * link_idx + (not fwd)
-            if link.channel not in sent_channels:
-                sent_channels.add(link.channel)
-                slot = self._tx_slot[d]
-                air = bits / link.capacity
-                self._cur_air[slot] += air
-                self._win_air[slot] += air
-                engine.stats.frames_sent += 1
+        cur_air, win_air = self._cur_air, self._win_air
+        stats = engine.stats
+        for nbr, link_idx, d, capacity, slot in self._fanout.get(node_id, ()):
+            if slot is not None:
+                air = bits / capacity
+                cur_air[slot] += air
+                win_air[slot] += air
+                stats.frames_sent += 1
             if random() < odds[d] and (wanted is None or wanted(nbr)):
-                t_arrive = now + bits / link.capacity
+                t_arrive = now + bits / capacity
                 engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
 
     def outage(self, a: int, b: int, duration: float):
