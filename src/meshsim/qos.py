@@ -57,27 +57,24 @@ class AdmissionLedger:
     flows: dict[str, dict[int, float]] = field(default_factory=dict)
     log: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # per link: anchors whose contention domain contains it
+        self._affected = [[] for _ in self.topo.links]
+        for anchor in self.topo.links:
+            for member in self.topo.domains[anchor.index]:
+                self._affected[member].append(anchor.index)
+
     def residual(self, anchor_link: int, measured_busy: float = 0.0) -> float:
         """Headroom of one domain given model commitments and measurement."""
         used = max(self.committed.get(anchor_link, 0.0), measured_busy)
         return max(self.u_max - used, 0.0)
-
-    def _affected_by(self, link_idx: int) -> list[int]:
-        # anchors whose contention domain contains the given link
-        cache = getattr(self, "_affected_cache", None)
-        if cache is None:
-            cache = self._affected_cache = [[] for _ in self.topo.links]
-            for anchor in self.topo.links:
-                for member in self.topo.domains[anchor.index]:
-                    cache[member].append(anchor.index)
-        return cache[link_idx]
 
     def _increments(self, flow: FlowSpec, path_links) -> dict[int, float]:
         inc: dict[int, float] = {}
         for link in path_links:
             share = flow_airtime(flow, link, self.goodput_factor)
             # every domain that can sense this link pays the airtime
-            for anchor_idx in self._affected_by(link.index):
+            for anchor_idx in self._affected[link.index]:
                 inc[anchor_idx] = inc.get(anchor_idx, 0.0) + share
         return inc
 
@@ -93,8 +90,9 @@ class AdmissionLedger:
                 rej = Reject(flow.id, anchor, res, inc[anchor])
                 self.log.append(("reject", flow.id, anchor))
                 return rej
+        replaced = self.flows.get(flow.id)
         self.flows[flow.id] = inc
-        self._rebuild()
+        self._resum(inc if replaced is None else inc.keys() | replaced.keys())
         self.log.append(("admit", flow.id, None))
         return Admit(flow.id, inc)
 
@@ -102,14 +100,24 @@ class AdmissionLedger:
         """Remove the flow's reservations exactly."""
         if flow_id not in self.flows:
             raise UnknownFlow(flow_id)
-        del self.flows[flow_id]
-        self._rebuild()
+        self._resum(self.flows.pop(flow_id))
         self.log.append(("release", flow_id, None))
 
-    def _rebuild(self):
-        # re-sum from scratch in insertion order: conservation stays exact
-        committed: dict[int, float] = {}
-        for inc in self.flows.values():
-            for anchor, share in inc.items():
-                committed[anchor] = committed.get(anchor, 0.0) + share
-        self.committed = committed
+    def _resum(self, anchors):
+        """Re-sum each of these anchors over the flows in insertion order.
+
+        Summing in the same order every time keeps committed exactly the
+        sum over live reservations; an anchor no flow books is dropped.
+        """
+        committed = self.committed
+        for anchor in anchors:
+            total, booked = 0.0, False
+            for inc in self.flows.values():
+                share = inc.get(anchor)
+                if share is not None:
+                    total += share
+                    booked = True
+            if booked:
+                committed[anchor] = total
+            else:
+                committed.pop(anchor, None)

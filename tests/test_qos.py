@@ -109,6 +109,24 @@ def test_release_preserves_other_reservations():
     assert sum(ledger.committed.values()) == pytest.approx(expected)
 
 
+def test_readmitting_a_live_flow_replaces_its_reservation():
+    # short carrier sense: the two ends of the line are separate domains
+    nodes = make_nodes([(i * 10.0, 0) for i in range(6)], tx_range=15.0,
+                       cs_range=15.0)
+    topo = build_topology(nodes, overrides={(i, i + 1): 1.0 for i in range(5)})
+    ledger = AdmissionLedger(topo)
+    first = ledger.admit(flow("a"), topo.links[:1]).reservation
+    ledger.admit(flow("b"), topo.links[4:])
+    ledger.admit(flow("a"), topo.links[3:4])
+    total = {}
+    for inc in ledger.flows.values():
+        for anchor, share in inc.items():
+            total[anchor] = total.get(anchor, 0.0) + share
+    assert set(first) - set(total)            # old anchors no flow books
+    assert ledger.committed == total
+    assert list(ledger.flows) == ["a", "b"]
+
+
 def test_log_records_decisions_in_order():
     ledger = make_ledger(rate=1e6)
     link = [ledger.topo.links[0]]
