@@ -299,6 +299,22 @@ def _build(raw, name) -> Scenario:
         except UnknownLink:
             problems.append(f"{path}: outage needs a link, none between nodes "
                             f"{a} and {b}")
+    mac = proto.get("engine", MacParams())
+    if topology.links:
+        # a timer that fires faster than one control frame fits on the
+        # slowest link stalls the run without simulating anything useful
+        floor = routing.control_bits / min(link.capacity for link in topology.links)
+        timers = (("protocol.routing", routing,
+                   ("hello_interval", "tc_interval", "recompute_interval")),
+                  ("protocol.services", services, ("beacon_interval",)),
+                  ("protocol.engine", mac, ("busy_window",)))
+        for path, params, names in timers:
+            for name in names:
+                value = getattr(params, name)
+                if value < floor:
+                    problems.append(
+                        f"{path}.{name}: must be at least one control frame's "
+                        f"airtime on the slowest link, {floor!r} s, got {value!r}")
     if problems:
         raise ValidationError(problems)
 
@@ -307,7 +323,7 @@ def _build(raw, name) -> Scenario:
         topology=topology,
         elp=proto.get("elp", ElpParams()),
         routing=routing,
-        mac=proto.get("engine", MacParams()),
+        mac=mac,
         qos_u_max=qos.get("u_max", 0.85),
         qos_goodput=qos.get("goodput_factor", 0.8),
         services=services,

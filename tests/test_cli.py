@@ -123,6 +123,18 @@ def test_validate_out_of_range_value_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_timer_below_floor_is_one_scenario_error(tmp_path):
+    path = write_tiny(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["protocol"] = {"routing": {"hello_interval": 1e-6}}
+    path.write_text(yaml.safe_dump(raw))
+    proc = _cli(["validate", str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.count("scenario error") == 1
+    assert "protocol.routing.hello_interval" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_one():
     # one argparse path per kind of mistake, in a fresh interpreter
     for argv in (["run", "tiny.yaml", "--seed", "x"],

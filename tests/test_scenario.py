@@ -209,3 +209,25 @@ def test_outage_must_name_a_link(a, b, path):
     with pytest.raises(ValidationError) as exc:
         Scenario.from_dict(raw)
     assert any(p.startswith(path) for p in exc.value.problems), exc.value.problems
+
+
+TIMERS = [("routing", "hello_interval"), ("routing", "tc_interval"),
+          ("routing", "recompute_interval"), ("services", "beacon_interval"),
+          ("engine", "busy_window")]
+
+
+@pytest.mark.parametrize("section,name", TIMERS)
+def test_timer_below_one_control_frame_is_rejected(section, name):
+    # one 2048-bit control frame takes 2048 / capacity s on the only link
+    capacity = Scenario.from_dict(minimal_dict()).topology.links[0].capacity
+    floor = 2048 / capacity
+    for value in (1e-9, 1e-6, floor * 0.999):
+        raw = minimal_dict()
+        raw["protocol"] = {section: {name: value}}
+        with pytest.raises(ValidationError) as exc:
+            Scenario.from_dict(raw)
+        assert f"protocol.{section}.{name}" in str(exc.value)
+    raw = minimal_dict()
+    raw["protocol"] = {section: {name: floor}}
+    assert getattr(getattr(Scenario.from_dict(raw),
+                           {"engine": "mac"}.get(section, section)), name) == floor

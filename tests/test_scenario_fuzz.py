@@ -35,7 +35,7 @@ def _paths(node, prefix=()):
 
 
 PATHS = list(_paths(PRESET))
-VALUES = [None, True, False, 0, 1, -1, 3, 100, 0.0, 0.5, -0.5, 2.5, 1e3,
+VALUES = [None, True, False, 0, 1, -1, 3, 100, 0.0, 1e-9, 1e-6, 0.5, -0.5, 2.5, 1e3,
           float("nan"), float("inf"), "", "x", "elp", [], [1, 2], {}, {"x": 1}]
 KEYS = ["x", "metric", "header_bits", "b_max", "count", "duration", "p", "id",
         "radios", "actions"]
