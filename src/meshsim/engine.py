@@ -122,9 +122,9 @@ class Medium:
     odds are per-run state too: an outage zeroes them here and leaves the
     shared Topology untouched.
 
-    Two lists built once spare the hot paths their attribute lookups:
-    _capacity holds each link's capacity by link index, and _fanout maps a
-    node to its broadcast fan-out, one (neighbor, link index, directed
+    Two tables built once spare the hot paths their attribute lookups:
+    _capacity lists each link's capacity by link index, and _fanout maps a
+    node to its broadcast fan-out list, one (neighbor, link index, directed
     index, capacity, slot) entry per adjacent link in adjacency order, where
     slot is the transmitter slot that books the airtime on the first entry
     of each channel and None on the others.

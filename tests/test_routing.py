@@ -349,7 +349,7 @@ def test_suppressed_link_penalized_until_release():
     assert router.route_to(2).path == (0, 2)
 
 
-# -- route_to fast path --------------------------------------------------------
+# -- route_to fast path ----------------------------------------------------
 
 def reference_route_to(router, dest):
     """Router.route_to as it was before routes carried their NeighborLink,
@@ -373,12 +373,12 @@ def bound_to_its_neighbor_link(router, r):
 
 
 def churn_scenario(maintenance):
-    # calls over 0<->1 and 1<->2 while both pairs go through long outages,
-    # so links are suppressed, dropped on missed HELLOs and on tx failures
+    # long outages under calls suppress links and drop them, on missed
+    # HELLOs and on tx failures; with one suppression allowed per link, a
+    # silent link is dropped on its next strike
     with open(preset_path("indoor22")) as fh:
         raw = yaml.safe_load(fh)
-    # one suppression per link, so a silent link is dropped on its next strike
-    raw["protocol"]["routing"] = {"maintenance": maintenance, "max_suppressions": 1}
+    raw["protocol"]["routing"].update(maintenance=maintenance, max_suppressions=1)
     raw["run"].update(duration=30.0, warmup=4.0)
     raw["workload"]["calls"].update(count=3, background=2, start=4.0)
     raw["workload"]["actions"] = [
@@ -425,7 +425,7 @@ def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
     got, kinds = route_to_log(monkeypatch, maintenance, checked)
     want, _ = route_to_log(monkeypatch, maintenance, reference_route_to)
     assert unbound == []
-    assert len(got) == len(want) and got == want
+    assert got == want
     # the run exercised what could unbind a route
     drops = {reason for kind, reason in kinds if kind == "link_down"}
     if maintenance:
