@@ -300,8 +300,9 @@ class Medium:
         """One unreliable transmission per radio; no retries, no ACKs.
 
         deliver(neighbor_id, link_idx, t_arrive) fires per reached neighbor.
-        With wanted given, the arrival is scheduled only for reached
-        neighbors where wanted(neighbor_id) is true; airtime and the delivery
+        With wanted given, wanted(neighbor_id, t_arrive) is asked once per
+        reached neighbor, after its delivery draw, and the arrival is
+        scheduled exactly when it answers true; airtime and the delivery
         draws are the same either way, so the run's randomness is too.
         """
         engine = self.engine
@@ -316,9 +317,10 @@ class Medium:
                 cur_air[slot] += air
                 win_air[slot] += air
                 stats.frames_sent += 1
-            if random() < odds[d] and (wanted is None or wanted(nbr)):
+            if random() < odds[d]:
                 t_arrive = now + bits / capacity
-                engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
+                if wanted is None or wanted(nbr, t_arrive):
+                    engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
 
     def outage(self, a: int, b: int, duration: float):
         """Cut every link between nodes a and b, both ways, for duration.

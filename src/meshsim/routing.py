@@ -66,7 +66,9 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
     Labels (cost, hops, path) are totally ordered and distinct per path, so
     the heap pops them in the same order whatever order they were pushed
     in, and a label no better than one already pushed for its node would
-    only be popped after it and skipped: it is never pushed.
+    only be popped after it and skipped: it is never pushed. Costs are
+    finite, so a label that loses on cost or hops is dropped before its
+    path tuple is built.
     """
     best = {}
     settled = set()
@@ -83,8 +85,11 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
         for v, c in graph.get(u, {}).items():
             if v in settled:
                 continue
-            cand = (cost + c, hops + 1, path + (v,))
+            new, n = cost + c, hops + 1
             old = best.get(v)
+            if old is not None and (new > old[0] or (new == old[0] and n > old[1])):
+                continue                       # loses before its path is built
+            cand = (new, n, path + (v,))
             if old is None or cand < old:
                 best[v] = cand
                 heappush(heap, cand)
@@ -140,6 +145,9 @@ class Router:
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
         self.db: dict[int, dict] = {}            # origin -> {seq, expires, links}
         self.hna: dict[int, int] = {}            # origin -> last HNA seq
+        # kind -> origin -> (seq, t_arrive) of the best flood copy scheduled
+        # to reach us: the newest seq, and of that seq the earliest arrival
+        self.in_flight: dict[str, dict[int, tuple[int, float]]] = {"tc": {}, "hna": {}}
         self._seq = {"tc": 0, "hna": 0}          # our last originated seq per type
         self.table: dict[int, Route] = {}
         self.dirty = True
@@ -296,18 +304,38 @@ class Router:
     def _broadcast_ctrl(self, msg):
         """Send a flood copy; schedule it only where receive_control takes it.
 
-        A neighbor that is the origin, or that already holds this seq or a
-        newer one, drops the copy on arrival. Kept seqs only grow, so that
-        is already certain when the copy is sent.
+        A neighbor drops the copy on arrival if it is the origin or already
+        holds this seq or a newer one. Kept seqs only grow, so that is
+        already certain when the copy is sent. It is just as certain when a
+        copy of this seq or a newer one is already scheduled to reach the
+        neighbor no later: a scheduled arrival is never cancelled, and on a
+        tie in time the copy scheduled first pops first. The neighbor's
+        in_flight entry records the best such copy; every copy scheduled
+        here is offered to it.
         """
-        origin, seq, peers = msg["origin"], msg["seq"], self.peers
-        if msg["type"] == "tc":
-            def wanted(nbr):
-                entry = peers[nbr].db.get(origin)
-                return nbr != origin and (entry is None or entry["seq"] < seq)
-        else:
-            def wanted(nbr):
-                return nbr != origin and peers[nbr].hna.get(origin, 0) < seq
+        kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], self.peers
+        tc = kind == "tc"
+
+        def wanted(nbr, t_arrive):
+            if nbr == origin:
+                return False
+            peer = peers[nbr]
+            if tc:
+                entry = peer.db.get(origin)
+                if entry is not None and entry["seq"] >= seq:
+                    return False
+            elif peer.hna.get(origin, 0) >= seq:
+                return False
+            flight = peer.in_flight[kind]
+            best = flight.get(origin)
+            if best is not None:
+                best_seq, best_t = best
+                if best_seq >= seq and best_t <= t_arrive:
+                    return False               # beaten in flight
+                if best_seq > seq:
+                    return True                # earlier but older: keep best
+            flight[origin] = (seq, t_arrive)
+            return True
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
             lambda nbr, li, tt: peers[nbr].receive_control(msg, tt), wanted)
@@ -317,7 +345,10 @@ class Router:
 
         An originator's seq only grows from 1 and kept entries are never
         removed, so a seq at or below the kept one is a duplicate or stale
-        copy. _broadcast_ctrl applies the same test before sending.
+        copy. _broadcast_ctrl applies the same test before sending, and also
+        leaves out a copy that an earlier-scheduled copy of the same or a
+        newer seq reaches us no later than, since that copy makes it stale
+        by the time it lands.
         """
         origin, seq = msg["origin"], msg["seq"]
         if origin == self.node_id:

@@ -192,20 +192,26 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
     # node 0 reaches 1, 2 and 3; the draw toward 3 is a real coin
     topo = build_topology(make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)]),
                           overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 0.5})
+    asked = []
+
+    def wanted(nbr, t):
+        asked.append((nbr, t))
+        return nbr != 2
     runs = []
-    for wanted in (None, lambda nbr: nbr != 2):
+    for want in (None, wanted):
         eng = Engine(5)
         med = Medium(topo, eng)
         got = []
         queued = len(eng._heap)
         for _ in range(20):
-            med.broadcast(0, 512, lambda nbr, li, t: got.append(nbr), wanted)
+            med.broadcast(0, 512, lambda nbr, li, t: got.append((nbr, t)), want)
         scheduled = len(eng._heap) - queued
         eng.run_until(1.0)
         runs.append(((med._rng.getstate(), list(med._win_air), eng.stats.frames_sent),
                      got, scheduled))
     (state, got, scheduled), (state_w, got_w, scheduled_w) = runs
     assert state_w == state                # same coins, airtime and frame count
-    assert got_w == [nbr for nbr in got if nbr != 2]
-    assert 2 in got and 2 not in got_w
+    assert asked == got                    # asked once per reached neighbor, at its arrival
+    assert got_w == [(nbr, t) for nbr, t in got if nbr != 2]
+    assert 2 in dict(got) and 2 not in dict(got_w)
     assert scheduled == len(got) and scheduled_w == len(got_w)

@@ -231,16 +231,20 @@ RUN_STATE_ACTIONS = [
 # is pinned on its own: a change that stops scheduling events that do
 # nothing moves only the count.
 RUN_STATE_DIGEST = "d430f4434d70ffcca357824d2fc1cfafbe6137e97376e8363c74b440cbed1b48"
-RUN_STATE_EVENTS = 54957
+RUN_STATE_EVENTS = 32556
 
 
-def run_state_scenario():
+def run_state_raw():
     with open(preset_path("indoor22")) as fh:
         raw = yaml.safe_load(fh)
     raw["run"].update(duration=30.0, warmup=6.0)
     raw["workload"]["calls"].update(count=2, background=1)
     raw["workload"]["actions"] = RUN_STATE_ACTIONS
-    return Scenario.from_dict(raw, "indoor22-run-state")
+    return raw
+
+
+def run_state_scenario():
+    return Scenario.from_dict(run_state_raw(), "indoor22-run-state")
 
 
 def run_state(sim):

@@ -11,6 +11,7 @@ from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
 from meshsim.scenario import Scenario
 
 from conftest import make_net
+from test_fingerprint import run_state, run_state_raw, run_state_scenario
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -433,3 +434,97 @@ def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
         assert "neighbor_lost" in drops
     else:
         assert {"tx_failure", "neighbor_lost"} <= drops
+
+
+# -- flood copies beaten in flight ----------------------------------------
+
+def reference_wanted(router, msg):
+    """_broadcast_ctrl's wanted test as it was before copies beaten in
+    flight were left out, kept as the oracle: it asks only whether the
+    neighbour is the origin or already holds the seq."""
+    origin, seq, peers = msg["origin"], msg["seq"], router.peers
+    if msg["type"] == "tc":
+        def wanted(nbr):
+            entry = peers[nbr].db.get(origin)
+            return nbr != origin and (entry is None or entry["seq"] < seq)
+    else:
+        def wanted(nbr):
+            return nbr != origin and peers[nbr].hna.get(origin, 0) < seq
+    return wanted
+
+
+def reference_broadcast_ctrl(router, msg):
+    peers, wanted = router.peers, reference_wanted(router, msg)
+    router.medium.broadcast(
+        router.node_id, router.params.control_bits,
+        lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
+        lambda nbr, _t: wanted(nbr))
+
+
+def held_seq(router, kind, origin):
+    if kind == "tc":
+        entry = router.db.get(origin)
+        return 0 if entry is None else entry["seq"]
+    return router.hna.get(origin, 0)
+
+
+def flood_run(monkeypatch, scn, broadcast_ctrl=None):
+    """One seed-1 run of scn, optionally with broadcast_ctrl standing in for
+    Router._broadcast_ctrl: the flood copies it accepted as (t, receiver,
+    kind, origin, seq), the number it dropped on arrival, its run state
+    without the event count, and that count."""
+    accepted, dropped = [], []
+    receive = Router.receive_control
+
+    def logged(router, msg, t):
+        copy = (t, router.node_id, msg["type"], msg["origin"], msg["seq"])
+        before = held_seq(router, msg["type"], msg["origin"])
+        receive(router, msg, t)
+        if held_seq(router, msg["type"], msg["origin"]) != before:
+            accepted.append(copy)
+        else:
+            dropped.append(copy)
+    monkeypatch.setattr(Router, "receive_control", logged)
+    if broadcast_ctrl is not None:
+        monkeypatch.setattr(Router, "_broadcast_ctrl", broadcast_ctrl)
+    state = run_state(Simulation(scn, 1))
+    monkeypatch.undo()
+    events = state["engine"].pop("events_processed")
+    return accepted, len(dropped), state, events
+
+
+def mixed_rate_run_state_scenario():
+    """The run-state scenario with each node's radios at 2, 5.5 or 12 Mb/s
+    by node id, so a copy sent later over a faster link can overtake one
+    already in flight."""
+    raw = run_state_raw()
+    for node in raw["topology"]["nodes"]:
+        for radio in node["radios"]:
+            radio["nominal_rate"] = (2e6, 5.5e6, 12e6)[node["id"] % 3]
+    return Scenario.from_dict(raw, "indoor22-run-state-mixed-rate")
+
+
+RUN_STATE_VARIANTS = {"equal-rate": run_state_scenario,
+                      "mixed-rate": mixed_rate_run_state_scenario}
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
+def test_flood_elision_leaves_the_run_unchanged(monkeypatch, variant):
+    scenario = RUN_STATE_VARIANTS[variant]
+    got, got_dropped, got_state, got_events = flood_run(monkeypatch, scenario())
+    want, want_dropped, want_state, want_events = flood_run(
+        monkeypatch, scenario(), reference_broadcast_ctrl)
+    assert got == want                     # same copies taken at the same times
+    assert got_state == want_state
+    assert got_events < want_events
+    assert got_dropped < want_dropped
+    if variant == "mixed-rate":
+        assert got_dropped > 0             # overtaking copies still arrive
+    else:
+        assert got_dropped == 0
+
+
+def test_no_flood_copy_dropped_on_arrival_at_equal_rates(monkeypatch):
+    accepted, dropped, _state, _events = flood_run(monkeypatch, churn_scenario(True))
+    assert {kind for (_t, _rx, kind, _o, _q) in accepted} == {"tc", "hna"}
+    assert dropped == 0
