@@ -300,10 +300,12 @@ def _build(raw, name) -> Scenario:
             problems.append(f"{path}: outage needs a link, none between nodes "
                             f"{a} and {b}")
     mac = proto.get("engine", MacParams())
+    calls = workload.get("calls", CallTemplate())
     if topology.links:
         # a timer that fires faster than one control frame fits on the
         # slowest link stalls the run without simulating anything useful
-        floor = routing.control_bits / min(link.capacity for link in topology.links)
+        slowest = min(link.capacity for link in topology.links)
+        floor = routing.control_bits / slowest
         timers = (("protocol.routing", routing,
                    ("hello_interval", "tc_interval", "recompute_interval")),
                   ("protocol.services", services, ("beacon_interval",)),
@@ -315,6 +317,26 @@ def _build(raw, name) -> Scenario:
                     problems.append(
                         f"{path}.{name}: must be at least one control frame's "
                         f"airtime on the slowest link, {floor!r} s, got {value!r}")
+        # so does a CBR stream the workload starts that sends a packet
+        # every packet_bits / rate s, faster than its frame fits on the
+        # slowest link; a rate no stream uses is left alone
+        kinds = {act.get("kind") for act in actions}
+        streams = (("workload.calls", calls, "codec_rate", services.voice_packet_bits,
+                    calls.count or calls.background),
+                   ("protocol.services", services, "voice_rate",
+                    services.voice_packet_bits, "call" in kinds),
+                   ("protocol.services", services, "video_rate",
+                    services.video_packet_bits, "video_request" in kinds),
+                   ("protocol.services", services, "broadcast_rate",
+                    services.broadcast_packet_bits, "broadcast_audio" in kinds))
+        for path, params, name, bits, used in streams:
+            rate = getattr(params, name)
+            airtime = (bits + mac.header_bits) / slowest
+            if used and bits / rate < airtime:
+                problems.append(
+                    f"{path}.{name}: sends a {bits}-bit packet every "
+                    f"{bits / rate!r} s, less than its frame's airtime on the "
+                    f"slowest link, {airtime!r} s")
     if problems:
         raise ValidationError(problems)
 
@@ -328,7 +350,7 @@ def _build(raw, name) -> Scenario:
         qos_goodput=qos.get("goodput_factor", 0.8),
         services=services,
         clients=clients,
-        calls=workload.get("calls", CallTemplate()),
+        calls=calls,
         actions=actions,
         duration=duration,
         warmup=warmup,

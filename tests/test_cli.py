@@ -135,6 +135,18 @@ def test_timer_below_floor_is_one_scenario_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_stream_rate_above_floor_is_one_scenario_error(tmp_path):
+    path = write_tiny(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["workload"]["calls"].update(background=1, codec_rate=1e12)
+    path.write_text(yaml.safe_dump(raw))
+    proc = _cli(["run", str(path), "--seed", "1"])
+    assert proc.returncode == 1
+    assert proc.stderr.count("scenario error") == 1
+    assert "workload.calls.codec_rate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_one():
     # one argparse path per kind of mistake, in a fresh interpreter
     for argv in (["run", "tiny.yaml", "--seed", "x"],

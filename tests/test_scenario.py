@@ -231,3 +231,60 @@ def test_timer_below_one_control_frame_is_rejected(section, name):
     raw["protocol"] = {section: {name: floor}}
     assert getattr(getattr(Scenario.from_dict(raw),
                            {"engine": "mac"}.get(section, section)), name) == floor
+
+
+# (section, rate field, packet bits field, workload that starts the stream)
+STREAM_RATES = [
+    ("workload.calls", "codec_rate", "voice_packet_bits", {"background": 1}),
+    ("protocol.services", "voice_rate", "voice_packet_bits",
+     {"kind": "call", "src": "c1", "dst": "c2"}),
+    ("protocol.services", "video_rate", "video_packet_bits",
+     {"kind": "video_request", "src": "c1", "dst": "c2"}),
+    ("protocol.services", "broadcast_rate", "broadcast_packet_bits",
+     {"kind": "broadcast_audio", "duration": 10.0})]
+
+
+def with_rate(section, name, value, use=None):
+    """minimal_dict with name set to value, and the stream started by use."""
+    raw = minimal_dict()
+    workload = raw["workload"]
+    workload["clients"].append({"id": "c2", "attach": 0})
+    if section == "workload.calls":
+        workload["calls"] = {name: value, **(use or {})}
+    else:
+        raw["protocol"] = {"services": {name: value}}
+        if use is not None:
+            workload["actions"] = [{"at": 6.0, **use}]
+    return raw
+
+
+@pytest.mark.parametrize("section,name,bits_field,use", STREAM_RATES,
+                         ids=[r[1] for r in STREAM_RATES])
+def test_stream_faster_than_its_frame_is_rejected(section, name, bits_field, use):
+    # a packet every bits / rate s must leave room for its frame,
+    # bits + 320 header bits, on the only link
+    scn = Scenario.from_dict(minimal_dict())
+    capacity = scn.topology.links[0].capacity
+    bits = getattr(scn.services, bits_field)
+    top = bits * capacity / (bits + 320)
+    for value in (1e12, top * 1.001):
+        with pytest.raises(ValidationError) as exc:
+            Scenario.from_dict(with_rate(section, name, value, use))
+        assert f"{section}.{name}" in str(exc.value)
+    scn = Scenario.from_dict(with_rate(section, name, top * 0.999, use))
+    owner = scn.calls if section == "workload.calls" else scn.services
+    assert getattr(owner, name) == top * 0.999
+    # a rate that no stream of the workload uses is not checked
+    assert Scenario.from_dict(with_rate(section, name, 1e12))
+
+
+def test_huge_background_codec_rate_is_rejected():
+    # validated, this ran 15,624 events in the first 10 simulated
+    # microseconds after warmup and never reached warmup + 0.1 s
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["workload"]["calls"] = {"count": 0, "background": 1, "codec_rate": 1e12}
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert len(exc.value.problems) == 1
+    assert exc.value.problems[0].startswith("workload.calls.codec_rate")
