@@ -4,13 +4,14 @@ Each example applies a few edits to the preset document: a value replaced
 by one from a palette of wrong types and edge values, a key or list item
 deleted, or a stray key added. The loader may only answer with ParseError
 or ValidationError; whatever it accepts must build a Simulation and run
-two simulated seconds.
+two simulated seconds. A run that schedules EVENT_BUDGET events in them has
+stalled: some timer or stream fires faster than its frame fits on a link.
 """
 
 import copy
 
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshsim import preset_path
 from meshsim.errors import ParseError, ValidationError
@@ -65,8 +66,59 @@ def _mutate(doc, path, op, value, key):
         parent[last][key] = copy.deepcopy(value)
 
 
+EVENT_BUDGET = 200_000        # a run the loader accepts stays far below this
+
+
+def run_within_budget(scn):
+    """Run scn for two simulated seconds; fail once it has scheduled
+    EVENT_BUDGET events, rather than spending hours on a stalled run."""
+    engine = Simulation(scn, 1).engine
+    schedule, left = engine.schedule, [EVENT_BUDGET]
+
+    def budgeted(t, fn):
+        left[0] -= 1
+        assert left[0] >= 0, f"stalled: {EVENT_BUDGET} events by {engine.now} s"
+        schedule(t, fn)
+    engine.schedule = budgeted
+    engine.run_until(2.0)
+
+
+# Each timer at 1e-9 s and each CBR rate at 1e12 b/s, with the streams
+# started inside the two seconds; calls, videos and broadcasts stay on
+# node 0, where c01, c08 and the server sit, so they start without routes.
+EARLY = (("run", "warmup"), "replace", 0.5, "x")
+
+
+def _actions(*actions):
+    return (("workload",), "add", list(actions), "actions")
+
+
+STALLS = [
+    [(("protocol", "routing", "hello_interval"), "replace", 1e-9, "x")],
+    [(("protocol", "routing", "tc_interval"), "replace", 1e-9, "x")],
+    [(("protocol", "routing"), "add", 1e-9, "recompute_interval")],
+    [(("protocol", "services", "beacon_interval"), "replace", 1e-9, "x")],
+    [(("protocol", "engine"), "add", 1e-9, "busy_window")],
+    [(("workload", "calls", "codec_rate"), "replace", 1e12, "x"), EARLY],
+    [(("protocol", "services"), "add", 1e12, "voice_rate"),
+     _actions({"at": 0.5, "kind": "call", "src": "c01", "dst": "c08"})],
+    [(("protocol", "services"), "add", 1e12, "video_rate"),
+     _actions({"at": 0.2, "kind": "video_request", "src": "c01", "dst": "c08",
+               "response": "accept"})],
+    [(("protocol", "services"), "add", 1e12, "broadcast_rate"),
+     _actions({"at": 0.5, "kind": "broadcast_audio", "duration": 10.0})],
+]
+
+
+def _stall_examples(test):
+    for mutations in STALLS:
+        test = example(mutations)(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(mutation, min_size=1, max_size=3))
+@_stall_examples
 def test_mutated_preset_is_rejected_or_runs(mutations):
     doc = copy.deepcopy(PRESET)
     for m in mutations:
@@ -75,4 +127,4 @@ def test_mutated_preset_is_rejected_or_runs(mutations):
         scn = Scenario.from_dict(doc, "fuzz")
     except (ParseError, ValidationError):
         return
-    Simulation(scn, 1).engine.run_until(2.0)
+    run_within_budget(scn)
