@@ -52,7 +52,9 @@ class Route:
     # The neighbour record _recompute bound this route to. Every removal
     # from Router.neighbors goes through _drop_neighbor_link, which
     # recomputes before any route_to runs, so for a route in Router.table
-    # this is always neighbors[next_hop][link_idx].
+    # this is always neighbors[next_hop][link_idx]. A record is dropped only
+    # once its suppression is over, and a dropped record is never suppressed
+    # again, so a route still bound to one reads as not suppressed.
     nl: NeighborLink | None = field(default=None, compare=False, repr=False)
 
 
@@ -143,8 +145,9 @@ class Router:
         self.peers: dict[int, "Router"] = {}     # filled by wire_network
         # neighbor node -> {link_idx: NeighborLink}
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
-        self.db: dict[int, dict] = {}            # origin -> {seq, expires, links}
-        self.hna: dict[int, int] = {}            # origin -> last HNA seq
+        self.db: dict[int, dict] = {}            # origin -> {expires, links}
+        # kind -> origin -> newest seq taken, for "tc" and "hna" alike
+        self.seqs: dict[str, dict[int, int]] = {"tc": {}, "hna": {}}
         # kind -> origin -> (seq, t_arrive) of the best flood copy scheduled
         # to reach us: the newest seq, and of that seq the earliest arrival
         self.in_flight: dict[str, dict[int, tuple[int, float]]] = {"tc": {}, "hna": {}}
@@ -302,68 +305,51 @@ class Router:
                               "seq": self._seq[kind], **body})
 
     def _broadcast_ctrl(self, msg):
-        """Send a flood copy; schedule it only where receive_control takes it.
-
-        A neighbor drops the copy on arrival if it is the origin or already
-        holds this seq or a newer one. Kept seqs only grow, so that is
-        already certain when the copy is sent. It is just as certain when a
-        copy of this seq or a newer one is already scheduled to reach the
-        neighbor no later: a scheduled arrival is never cancelled, and on a
-        tie in time the copy scheduled first pops first. The neighbor's
-        in_flight entry records the best such copy; every copy scheduled
-        here is offered to it.
-        """
+        """Send a flood copy, scheduled only for the neighbours that take it."""
         kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], self.peers
-        tc = kind == "tc"
-
-        def wanted(nbr, t_arrive):
-            if nbr == origin:
-                return False
-            peer = peers[nbr]
-            if tc:
-                entry = peer.db.get(origin)
-                if entry is not None and entry["seq"] >= seq:
-                    return False
-            elif peer.hna.get(origin, 0) >= seq:
-                return False
-            flight = peer.in_flight[kind]
-            best = flight.get(origin)
-            if best is not None:
-                best_seq, best_t = best
-                if best_seq >= seq and best_t <= t_arrive:
-                    return False               # beaten in flight
-                if best_seq > seq:
-                    return True                # earlier but older: keep best
-            flight[origin] = (seq, t_arrive)
-            return True
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
-            lambda nbr, li, tt: peers[nbr].receive_control(msg, tt), wanted)
+            lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
+            lambda nbr, t_arrive: peers[nbr].takes(kind, origin, seq, t_arrive))
+
+    def _stale(self, kind, origin, seq) -> bool:
+        return origin == self.node_id or seq <= self.seqs[kind].get(origin, 0)
+
+    def takes(self, kind, origin, seq, t_arrive) -> bool:
+        """Whether a flood copy sent now to reach us at t_arrive is taken.
+
+        We drop a copy on arrival if we are its origin or already hold its
+        seq or a newer one. An originator's seq only grows from 1 and held
+        seqs are never removed, so that is already certain when the copy is
+        sent. It is just as certain when a copy of this seq or a newer one
+        is already scheduled to reach us no later: a scheduled arrival is
+        never cancelled, and on a tie in time the copy scheduled first pops
+        first. in_flight records the best such copy; every copy taken here
+        is scheduled, and receive_control takes it when it lands.
+        """
+        if self._stale(kind, origin, seq):
+            return False
+        flight = self.in_flight[kind]
+        best = flight.get(origin)
+        if best is not None:
+            best_seq, best_t = best
+            if best_seq >= seq and best_t <= t_arrive:
+                return False                   # beaten in flight
+            if best_seq > seq:
+                return True                    # earlier but older: keep best
+        flight[origin] = (seq, t_arrive)
+        return True
 
     def receive_control(self, msg, t):
-        """Accept a TC or HNA flood newer than what we hold; re-flood it once.
-
-        An originator's seq only grows from 1 and kept entries are never
-        removed, so a seq at or below the kept one is a duplicate or stale
-        copy. _broadcast_ctrl applies the same test before sending, and also
-        leaves out a copy that an earlier-scheduled copy of the same or a
-        newer seq reaches us no later than, since that copy makes it stale
-        by the time it lands.
-        """
-        origin, seq = msg["origin"], msg["seq"]
-        if origin == self.node_id:
+        """Take a TC or HNA flood newer than what we hold; re-flood it once."""
+        kind, origin, seq = msg["type"], msg["origin"], msg["seq"]
+        if self._stale(kind, origin, seq):
             return
-        if msg["type"] == "tc":
-            entry = self.db.get(origin)
-            if entry is not None and seq <= entry["seq"]:
-                return
+        self.seqs[kind][origin] = seq
+        if kind == "tc":
             expires = t + self.params.hold_multiplier * self.params.tc_interval
-            self.db[origin] = {"seq": seq, "expires": expires, "links": msg["links"]}
+            self.db[origin] = {"expires": expires, "links": msg["links"]}
             self.dirty = True
-        else:
-            if seq <= self.hna.get(origin, 0):
-                return
-            self.hna[origin] = seq
         self._broadcast_ctrl(msg)
 
     # -- route computation ----------------------------------------------
@@ -397,13 +383,10 @@ class Router:
             # every path starts with an edge of graph[self.node_id], built from local
             _bind(cand, local[cand.next_hop][1])
             cur = self.table.get(dest)
-            cur_valid = cur is not None and cur.next_hop in local and all(
-                hop in graph.get(prev, {})
-                for prev, hop in zip(cur.path, cur.path[1:]))
-            if cur_valid:
-                nl = self.neighbors.get(cur.next_hop, {}).get(cur.link_idx)
-                if nl is not None and now < nl.suppressed_until:
-                    cur_valid = False
+            cur_valid = (cur is not None and cur.next_hop in local
+                         and now >= cur.nl.suppressed_until and all(
+                             hop in graph.get(prev, {})
+                             for prev, hop in zip(cur.path, cur.path[1:])))
             if not cur_valid:
                 if cur is not None:
                     self.log("route_switch", f"dest={dest} invalidated")

@@ -167,7 +167,7 @@ class MeshTransport:
             self.no_route_drops += 1
             return
         next_hop = route.next_hop
-        if next_hop != dst_node or deliver is None:
+        if next_hop != dst_node:
             deliver = partial(self._forward, next_hop, dst_node, frame_bits,
                               deliver, ttl - 1)
         self.medium.send_frame(route.link_idx, route.forward, frame_bits, deliver)
@@ -229,19 +229,15 @@ class FlowRunner:
         self.interval = interval
         self.t_end = t_end
         self.record = record
-        self.stopped = False
 
     def start(self):
         self._tick()
         return self
 
-    def stop(self):
-        self.stopped = True
-
     def _tick(self):
         net = self.net
         now = net.now()
-        if self.stopped or now >= self.t_end:
+        if now >= self.t_end:
             return
         record = self.record
         record.on_send(now)
@@ -303,11 +299,12 @@ class Server:
         s = self.sessions.get(client_id)
         return s is not None and s.status == "online"
 
-    def start_presence_timer(self, interval=1.0):
+    def start_presence_timer(self):
+        """Mark silent sessions offline, checking once a second."""
         def tick():
             self.expire_stale(self.net.now())
-            self.net.schedule(self.net.now() + interval, tick)
-        self.net.schedule(self.net.now() + interval, tick)
+            self.net.schedule(self.net.now() + 1.0, tick)
+        self.net.schedule(self.net.now() + 1.0, tick)
 
     # -- relayed messaging -------------------------------------------------
 
@@ -618,20 +615,19 @@ class ServiceStack:
         self.net.schedule(t_end, handle.finish)
         return handle
 
-    def broadcast_audio(self, duration, rate=None) -> list[FlowRecord]:
+    def broadcast_audio(self, duration) -> list[FlowRecord]:
         """Unicast stream to every online client; exempt from admission."""
         p = self.params
         if duration > p.broadcast_limit:
             raise DurationExceeded(f"{duration}s > {p.broadcast_limit}s")
-        rate = rate or p.broadcast_rate
         t_end = self.net.now() + duration
         records = []
         for cid in sorted(self.server.sessions):
             if not self.server.is_online(cid):
                 continue
             spec = FlowSpec(f"bcast/{cid}", self.server.node_id,
-                            self.server.sessions[cid].attach_node, rate,
-                            p.broadcast_packet_bits, "broadcast")
+                            self.server.sessions[cid].attach_node,
+                            p.broadcast_rate, p.broadcast_packet_bits, "broadcast")
             runner = self._runner(spec, "server", cid, t_end).start()
             records.append(runner.record)
         return records
@@ -656,8 +652,6 @@ class CallHandle:
             r.start()
 
     def finish(self):
-        for r in self.runners:
-            r.stop()
         for fid in self.reserved:
             self.ledger.release(fid)
         self.reserved = []

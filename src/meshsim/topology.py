@@ -84,8 +84,6 @@ class Topology:
 
     nodes: dict[int, NodeSpec]
     links: list[Link]
-    # (a, b, channel) with a < b -> link index
-    link_index: dict[tuple[int, int, int], int]
     # node -> [(neighbor, link index, forward?)]
     adjacency: dict[int, list[tuple[int, int, bool]]]
     # link index -> ids of nodes on the link's channel within carrier-sense
@@ -95,14 +93,8 @@ class Topology:
     # (includes the link itself)
     domains: list[list[int]]
 
-    def link_between(self, a: int, b: int, channel: int | None = None) -> Link:
+    def link_between(self, a: int, b: int) -> Link:
         """Return the link between a and b, cheapest-index first if several."""
-        lo, hi = min(a, b), max(a, b)
-        if channel is not None:
-            idx = self.link_index.get((lo, hi, channel))
-            if idx is None:
-                raise UnknownLink(f"no link {a}<->{b} on channel {channel}")
-            return self.links[idx]
         for nbr, idx, _fwd in self.adjacency.get(a, ()):
             if nbr == b:
                 return self.links[idx]
@@ -154,7 +146,7 @@ def build_topology(nodes, overrides=None, deletions=None,
 
     by_id = {n.id: n for n in nodes}
     links: list[Link] = []
-    link_index = {}
+    linked = set()                     # (a, b, channel) already given a link
     adjacency = {n.id: [] for n in nodes}
 
     ids = [n.id for n in nodes]
@@ -169,7 +161,7 @@ def build_topology(nodes, overrides=None, deletions=None,
                     key3 = (a, b, ra.channel)
                     if (a, b) in deletions or key3 in deletions:
                         continue
-                    if key3 in link_index:
+                    if key3 in linked:
                         continue
                     if d > min(ra.tx_range, rb.tx_range):
                         continue
@@ -187,7 +179,7 @@ def build_topology(nodes, overrides=None, deletions=None,
                     idx = len(links)
                     links.append(Link(idx, a, b, ra.channel, d, p_fwd, p_rev,
                                       min(ra.nominal_rate, rb.nominal_rate)))
-                    link_index[key3] = idx
+                    linked.add(key3)
                     adjacency[a].append((b, idx, True))
                     adjacency[b].append((a, idx, False))
 
@@ -213,7 +205,7 @@ def build_topology(nodes, overrides=None, deletions=None,
         sensed.append(heard)
         domains.append(sorted(set().union(*[incident[(nid, link.channel)]
                                             for nid in heard])))
-    return Topology(by_id, links, link_index, adjacency, sensed, domains)
+    return Topology(by_id, links, adjacency, sensed, domains)
 
 
 def _norm_pair(d):

@@ -188,14 +188,15 @@ def test_tc_duplicate_and_stale_are_ignored():
     assert router.db[7]["links"] == {8: 1.0}   # duplicate seq: no change
     router.receive_control({"type": "tc", "origin": 7, "seq": 3,
                             "links": {8: 9.0}}, 4.2)
-    assert router.db[7]["seq"] == 5            # stale seq: ignored
+    assert router.seqs["tc"][7] == 5           # stale seq: ignored
     hna = {"type": "hna", "origin": 7, "seq": 2}
     router.receive_control(hna, 4.3)
-    assert router.hna[7] == 2                  # HNA seqs are kept apart
+    assert router.seqs["hna"][7] == 2          # HNA seqs are kept apart
     assert sent == [msg, hna]                  # each flood re-flooded once
     router.receive_control({"type": "tc", "origin": 0, "seq": 99,
                             "links": {}}, 9.1)
     assert sent == [msg, hna] and 0 not in router.db   # own flood: dropped
+    assert 0 not in router.seqs["tc"]
 
 
 def test_hna_receive_keeps_newest_seq_and_refloods_it_once():
@@ -205,15 +206,15 @@ def test_hna_receive_keeps_newest_seq_and_refloods_it_once():
     router._broadcast_ctrl = sent.append
     hna = {"type": "hna", "origin": 7, "seq": 2}
     router.receive_control(hna, 4.0)
-    assert router.hna[7] == 2 and sent == [hna]       # accepted, re-flooded
+    assert router.seqs["hna"][7] == 2 and sent == [hna]   # accepted, re-flooded
     router.receive_control(dict(hna), 4.1)            # duplicate
     router.receive_control({"type": "hna", "origin": 7, "seq": 1}, 4.2)  # stale
-    assert router.hna[7] == 2 and sent == [hna]
+    assert router.seqs["hna"][7] == 2 and sent == [hna]
     router.receive_control({"type": "hna", "origin": 1, "seq": 99}, 4.3)
-    assert 1 not in router.hna and sent == [hna]      # own flood: dropped
+    assert 1 not in router.seqs["hna"] and sent == [hna]  # own flood: dropped
     newer = {"type": "hna", "origin": 7, "seq": 3}
     router.receive_control(newer, 4.4)
-    assert router.hna[7] == 3 and sent == [hna, newer]
+    assert router.seqs["hna"][7] == 3 and sent == [hna, newer]
 
 
 def test_tc_flood_crosses_five_node_line():
@@ -282,13 +283,40 @@ def test_suppression_strikes_force_down():
     assert any("tx_failure" in info for (_t, info) in net.events(0, "link_down"))
 
 
+def test_strikes_older_than_the_window_are_forgotten():
+    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}, max_suppressions=2,
+                   suppress_duration=0.0, strike_window=10.0).run(5.0)
+    router = net.routers[0]
+    nl = router.neighbors[1][0]
+    for _ in range(2):
+        router.handle_tx_failure(1, 0, net.engine.now)
+    net.run(net.engine.now + 10.5)         # both strikes leave the window
+    now = net.engine.now
+    router.handle_tx_failure(1, 0, now)    # a third strike, but alone in it
+    assert len(net.events(0, "suppress")) == 3
+    assert not net.events(0, "link_down")
+    assert list(nl.suppression_times) == [now]
+
+
+def test_expired_tc_entry_is_left_out_of_the_graph():
+    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0)
+    router = net.routers[0]
+    router._broadcast_ctrl = lambda msg: None
+    router.receive_control({"type": "tc", "origin": 7, "seq": 1,
+                            "links": {8: 1.0}}, 4.0)
+    expires = 4.0 + 3 * 5.0                # hold_multiplier * tc_interval
+    assert router._graph(expires, {})[7] == {8: 1.0}
+    assert 7 not in router._graph(expires + 1e-9, {})
+
+
 def test_hna_floods_reach_every_node_but_their_origin():
     pos = [(i * 10, 0) for i in range(3)]
     ovr = {(i, i + 1): 1.0 for i in range(2)}
     net = make_net(pos, overrides=ovr, server=0).run(8.0)
-    assert set(net.routers[1].hna) == set(net.routers[2].hna) == {0}
-    assert net.routers[2].hna[0] == net.routers[0]._seq["hna"]
-    assert net.routers[0].hna == {}
+    hna = {nid: r.seqs["hna"] for nid, r in net.routers.items()}
+    assert set(hna[1]) == set(hna[2]) == {0}
+    assert hna[2][0] == net.routers[0]._seq["hna"]
+    assert hna[0] == {}
 
 
 def test_two_servers_announce_separately():
@@ -296,8 +324,9 @@ def test_two_servers_announce_separately():
     nodes_net = make_net(pos, overrides={(0, 1): 1.0, (1, 2): 1.0}, server=0)
     nodes_net.routers[2].is_server = True  # both ends announce
     net = nodes_net.run(8.0)
-    assert set(net.routers[1].hna) == {0, 2}
-    assert set(net.routers[0].hna) == {2} and set(net.routers[2].hna) == {0}
+    hna = {nid: r.seqs["hna"] for nid, r in net.routers.items()}
+    assert set(hna[1]) == {0, 2}
+    assert set(hna[0]) == {2} and set(hna[2]) == {0}
 
 
 def test_flood_copies_reach_only_nodes_that_accept_them():
@@ -319,12 +348,8 @@ def test_flood_copies_reach_only_nodes_that_accept_them():
     for router in net.routers.values():
         def spy(msg, t, r=router, receive=router.receive_control):
             origin = msg["origin"]
-            if msg["type"] == "tc":
-                held = r.db[origin]["seq"] if origin in r.db else 0
-            else:
-                held = r.hna.get(origin, 0)
             copies.append((sender[0], r.node_id, msg["type"], origin,
-                           msg["seq"], held))
+                           msg["seq"], held_seq(r, msg["type"], origin)))
             receive(msg, t)
         router.receive_control = spy
     net.run(12.0)
@@ -438,18 +463,29 @@ def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
 
 # -- flood copies beaten in flight ----------------------------------------
 
+def test_takes_keeps_the_newest_copy_in_flight():
+    router = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0).routers[0]
+    flight = router.in_flight["tc"]
+    assert router.takes("tc", 7, 5, 6.0)
+    assert flight[7] == (5, 6.0)
+    assert router.takes("tc", 7, 4, 5.0)   # earlier but older: still lands first
+    assert flight[7] == (5, 6.0)           # and the newer copy stays the best
+    assert not router.takes("tc", 7, 4, 7.0)   # beaten in flight
+    assert not router.takes("tc", 7, 5, 6.0)   # a tie in time pops the first
+    assert router.takes("tc", 7, 6, 8.0)   # a newer seq always lands
+    assert flight[7] == (6, 8.0)
+    assert router.in_flight["hna"] == {}   # kinds are kept apart
+    assert not router.takes("tc", 0, 99, 6.0)  # our own flood
+
+
 def reference_wanted(router, msg):
-    """_broadcast_ctrl's wanted test as it was before copies beaten in
-    flight were left out, kept as the oracle: it asks only whether the
-    neighbour is the origin or already holds the seq."""
-    origin, seq, peers = msg["origin"], msg["seq"], router.peers
-    if msg["type"] == "tc":
-        def wanted(nbr):
-            entry = peers[nbr].db.get(origin)
-            return nbr != origin and (entry is None or entry["seq"] < seq)
-    else:
-        def wanted(nbr):
-            return nbr != origin and peers[nbr].hna.get(origin, 0) < seq
+    """The flood-copy test as it was before copies beaten in flight were
+    left out, kept as the oracle: it asks only whether the neighbour is the
+    origin or already holds the seq."""
+    kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], router.peers
+
+    def wanted(nbr):
+        return nbr != origin and held_seq(peers[nbr], kind, origin) < seq
     return wanted
 
 
@@ -462,10 +498,7 @@ def reference_broadcast_ctrl(router, msg):
 
 
 def held_seq(router, kind, origin):
-    if kind == "tc":
-        entry = router.db.get(origin)
-        return 0 if entry is None else entry["seq"]
-    return router.hna.get(origin, 0)
+    return router.seqs[kind].get(origin, 0)
 
 
 def flood_run(monkeypatch, scn, broadcast_ctrl=None):

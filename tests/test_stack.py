@@ -187,3 +187,16 @@ def test_second_video_on_a_live_pair_is_rejected():
     log = [(k, fid) for (k, fid, _x) in report.admission_log]
     assert log == [("admit", "video/c1/c2"), ("release", "video/c1/c2")]
     assert sim.ledger.flows == {}
+
+
+# -- transport --------------------------------------------------------------
+
+@pytest.mark.parametrize("with_callback", [True, False])
+def test_send_that_arrives_is_not_a_no_route_drop(with_callback):
+    sim = Simulation(line_scenario(), seed=1)
+    sim.engine.run_until(10.0)                  # routes are up
+    drops, arrived = sim.transport.no_route_drops, []
+    sim.transport.send(2, 0, 1000, arrived.append if with_callback else None)
+    sim.engine.run_until(11.0)
+    assert sim.transport.no_route_drops == drops
+    assert len(arrived) == with_callback
