@@ -46,7 +46,10 @@ class Engine:
     """Virtual clock + event queue. Single-threaded per scenario replica.
 
     Heap entries are plain (time, seq, fn) tuples; seq breaks time ties in
-    scheduling order, and fn is called with no arguments.
+    scheduling order, and fn is called with no arguments. One event may do
+    the work of several that would run back to back: Medium.broadcast
+    schedules one per arrival instant, not one per receiver, and an event
+    scheduled at its time by any of them still runs after all of them.
     """
 
     def __init__(self, seed: int = 0):
@@ -302,8 +305,16 @@ class Medium:
         deliver(neighbor_id, link_idx, t_arrive) fires per reached neighbor.
         With wanted given, wanted(neighbor_id, t_arrive) is asked once per
         reached neighbor, after its delivery draw, and the arrival is
-        scheduled exactly when it answers true; airtime and the delivery
+        delivered exactly when it answers true; airtime and the delivery
         draws are the same either way, so the run's randomness is too.
+
+        Airtime, frame counts, coins and wanted run per fan-out entry, in
+        fan-out order. The arrivals kept are then scheduled as one event per
+        distinct arrival instant, which calls deliver for each of that
+        instant's receivers in fan-out order. That is exact: one event per
+        arrival would have taken consecutive seqs at one time, so nothing
+        could run between them, and whatever a receiver's handler schedules
+        gets a later seq either way.
         """
         engine = self.engine
         now = engine.now
@@ -311,16 +322,19 @@ class Medium:
         odds = self._p
         cur_air, win_air = self._cur_air, self._win_air
         stats = engine.stats
+        arrivals: dict[float, list[tuple[int, int]]] = {}
         for nbr, link_idx, d, capacity, slot in self._fanout.get(node_id, ()):
+            air = bits / capacity
             if slot is not None:
-                air = bits / capacity
                 cur_air[slot] += air
                 win_air[slot] += air
                 stats.frames_sent += 1
             if random() < odds[d]:
-                t_arrive = now + bits / capacity
+                t_arrive = now + air
                 if wanted is None or wanted(nbr, t_arrive):
-                    engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
+                    arrivals.setdefault(t_arrive, []).append((nbr, link_idx))
+        for t_arrive, receivers in arrivals.items():
+            engine.schedule(t_arrive, partial(_arrive, deliver, receivers, t_arrive))
 
     def outage(self, a: int, b: int, duration: float):
         """Cut every link between nodes a and b, both ways, for duration.
@@ -341,3 +355,9 @@ class Medium:
                 link = self.topo.links[idx]
                 self._p[2 * idx] = link.p_deliver_fwd
                 self._p[2 * idx + 1] = link.p_deliver_rev
+
+
+def _arrive(deliver, receivers, t_arrive):
+    """One broadcast's arrivals at one instant, in fan-out order."""
+    for nbr, link_idx in receivers:
+        deliver(nbr, link_idx, t_arrive)

@@ -41,7 +41,7 @@ class RoutingParams:
                      nonnegative=("suppress_duration",))
 
 
-@dataclass
+@dataclass(slots=True)
 class Route:
     dest: int
     next_hop: int
@@ -56,6 +56,10 @@ class Route:
     # once its suppression is over, and a dropped record is never suppressed
     # again, so a route still bound to one reads as not suppressed.
     nl: NeighborLink | None = field(default=None, compare=False, repr=False)
+
+
+#: the links of a node that advertises none; shared, never written
+_NO_LINKS: dict[int, float] = {}
 
 
 def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int, Route]:
@@ -73,6 +77,7 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
     path tuple is built.
     """
     best = {}
+    best_get = best.get
     settled = set()
     heap = [(0.0, 0, (source,))]
     table = {}
@@ -84,11 +89,12 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
         settled.add(u)
         if u != source:
             table[u] = Route(u, path[1], cost, path)
-        for v, c in graph.get(u, {}).items():
+        n = hops + 1
+        for v, c in graph.get(u, _NO_LINKS).items():
             if v in settled:
                 continue
-            new, n = cost + c, hops + 1
-            old = best.get(v)
+            new = cost + c
+            old = best_get(v)
             if old is not None and (new > old[0] or (new == old[0] and n > old[1])):
                 continue                       # loses before its path is built
             cand = (new, n, path + (v,))
@@ -113,7 +119,7 @@ def maybe_switch_route(current: Route | None, candidate: Route | None,
     return candidate.path_cost < current.path_cost * (1.0 - h)
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborLink:
     """Directional bookkeeping for one link to one neighbor."""
 
@@ -190,16 +196,19 @@ class Router:
             for li, nl in links.items():
                 ratios[li] = nl.d_r            # measured neighbor -> us
         msg = {"type": "hello", "origin": self.node_id, "ratios": ratios}
+        peers = self.peers
         self.medium.broadcast(self.node_id, self.params.control_bits,
-                              lambda nbr, li, tt, m=msg: self.peers[nbr].process_hello(m, li, tt))
+                              lambda nbr, li, tt: peers[nbr].process_hello(msg, li, tt))
 
     def process_hello(self, msg, link_idx: int, t: float):
         origin = msg["origin"]
-        link = self.topo.links[link_idx]
-        forward = link.src == self.node_id     # our data direction on this link
-        links = self.neighbors.setdefault(origin, {})
+        links = self.neighbors.get(origin)
+        if links is None:
+            links = self.neighbors[origin] = {}
         nl = links.get(link_idx)
         if nl is None:
+            link = self.topo.links[link_idx]
+            forward = link.src == self.node_id     # our data direction on this link
             nl = links[link_idx] = NeighborLink(link_idx, forward, link.capacity)
             self.dirty = True
         nl.last_heard = t
@@ -242,9 +251,13 @@ class Router:
     def _link_cost(self, nl: NeighborLink) -> float | None:
         if self.params.metric == "hop_count":
             return 1.0
-        return metrics.elp_link(nl.d_f, nl.d_r,
-                                self.medium.busy_fraction(nl.link_idx),
-                                nl.capacity, self.elp)
+        medium, li = self.medium, nl.link_idx
+        # Medium.busy_fraction's cache check, inlined as transmit does
+        if medium.engine.now - medium._busy_cache_t[li] < 0.05:
+            busy = medium._busy_cache[li]
+        else:
+            busy = medium.busy_fraction(li)
+        return metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, self.elp)
 
     #: routing-time cost multiplier for suppressed links: alternatives win,
     #: but a cut link keeps carrying traffic rather than blackholing
@@ -260,10 +273,9 @@ class Router:
         p = self.params
         hold = p.hold_multiplier * p.hello_interval
         out = {}
-        for nbr_id in sorted(self.neighbors):
+        for nbr_id, links in sorted(self.neighbors.items()):
             best = None
-            for li in sorted(self.neighbors[nbr_id]):
-                nl = self.neighbors[nbr_id][li]
+            for _li, nl in sorted(links.items()):
                 suppressed = now < nl.suppressed_until
                 alive = (nl.reported and nl.last_heard >= 0
                          and now - nl.last_heard <= hold)
@@ -327,8 +339,8 @@ class Router:
         first. in_flight records the best such copy; every copy taken here
         is scheduled, and receive_control takes it when it lands.
         """
-        if self._stale(kind, origin, seq):
-            return False
+        if origin == self.node_id or seq <= self.seqs[kind].get(origin, 0):
+            return False                       # _stale, inlined
         flight = self.in_flight[kind]
         best = flight.get(origin)
         if best is not None:
@@ -384,9 +396,16 @@ class Router:
             _bind(cand, local[cand.next_hop][1])
             cur = self.table.get(dest)
             cur_valid = (cur is not None and cur.next_hop in local
-                         and now >= cur.nl.suppressed_until and all(
-                             hop in graph.get(prev, {})
-                             for prev, hop in zip(cur.path, cur.path[1:])))
+                         and now >= cur.nl.suppressed_until)
+            if cur_valid:
+                # every hop of the incumbent's path is still an edge of graph
+                path = cur.path
+                prev = path[0]
+                for hop in path[1:]:
+                    if hop not in graph.get(prev, _NO_LINKS):
+                        cur_valid = False
+                        break
+                    prev = hop
             if not cur_valid:
                 if cur is not None:
                     self.log("route_switch", f"dest={dest} invalidated")

@@ -68,12 +68,13 @@ class DeliveryState:
     retries_used: int = 0             #   | delivered | failed
 
 
-def dedupe(receiver_log: set, msg_id) -> str:
-    """Exactly-once filter above the transport; duplicates are still ACKed."""
+def dedupe(receiver_log: set, msg_id) -> bool:
+    """Exactly-once filter above the transport: True the first time msg_id
+    is seen, False for a duplicate (duplicates are still ACKed)."""
     if msg_id in receiver_log:
-        return "duplicate"
+        return False
     receiver_log.add(msg_id)
-    return "fresh"
+    return True
 
 
 class AckRetrySender:
@@ -310,7 +311,7 @@ class Server:
 
     def accept_uplink(self, msg: Message, t):
         """Called when a client message reaches the server (post-dedupe)."""
-        if dedupe(self.uplink_log, msg.msg_id) == "duplicate":
+        if not dedupe(self.uplink_log, msg.msg_id):
             return
         self._dispatch(msg)
 
@@ -450,7 +451,7 @@ class Client:
                        on_receive, on_success, on_fail).start()
 
     def receive_message(self, msg: Message, t):
-        if dedupe(self.receiver_log, msg.msg_id) == "fresh":
+        if dedupe(self.receiver_log, msg.msg_id):
             self.inbox.append(msg)
 
     def notify(self, msg_id, outcome, t):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from meshsim.engine import Engine, MacParams, Medium, rng_stream
 from meshsim.metrics import BUSY_MAX
 from meshsim.errors import PastTime, UnknownLink
-from meshsim.topology import build_topology
+from meshsim.topology import RadioSpec, build_topology
 
 from conftest import make_nodes, two_node_topology
 
@@ -189,9 +190,11 @@ def test_broadcast_never_reaches_over_dead_link():
 
 
 def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
-    # node 0 reaches 1, 2 and 3; the draw toward 3 is a real coin
-    topo = build_topology(make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)]),
-                          overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 0.5})
+    # node 0 reaches 1, 2 and 3; the draw toward 3 is a real coin, and 3's
+    # slower radio gives its arrivals an instant of their own
+    nodes = make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)])
+    nodes[3] = dataclasses.replace(nodes[3], radios=(RadioSpec(1, 6e6, 40.0, 80.0),))
+    topo = build_topology(nodes, overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 0.5})
     asked = []
 
     def wanted(nbr, t):
@@ -201,17 +204,39 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
     for want in (None, wanted):
         eng = Engine(5)
         med = Medium(topo, eng)
-        got = []
-        queued = len(eng._heap)
-        for _ in range(20):
-            med.broadcast(0, 512, lambda nbr, li, t: got.append((nbr, t)), want)
-        scheduled = len(eng._heap) - queued
+        got, scheduled, instants = [], 0, 0
+        for i in range(20):
+            queued = len(eng._heap)
+            med.broadcast(0, 512, lambda nbr, li, t, i=i: got.append((i, nbr, t)), want)
+            scheduled += len(eng._heap) - queued
         eng.run_until(1.0)
+        for i in range(20):
+            instants += len({t for (j, _nbr, t) in got if j == i})
         runs.append(((med._rng.getstate(), list(med._win_air), eng.stats.frames_sent),
-                     got, scheduled))
-    (state, got, scheduled), (state_w, got_w, scheduled_w) = runs
+                     [(nbr, t) for (_i, nbr, t) in got], scheduled, instants))
+    (state, got, scheduled, instants), (state_w, got_w, scheduled_w, instants_w) = runs
     assert state_w == state                # same coins, airtime and frame count
-    assert asked == got                    # asked once per reached neighbor, at its arrival
+    assert sorted(asked) == sorted(got)    # asked once per reached neighbor, at its arrival
     assert got_w == [(nbr, t) for nbr, t in got if nbr != 2]
     assert 2 in dict(got) and 2 not in dict(got_w)
-    assert scheduled == len(got) and scheduled_w == len(got_w)
+    # one event per distinct arrival instant of each broadcast
+    assert scheduled == instants and scheduled_w == instants_w
+    assert 20 < scheduled < len(got)
+
+
+def test_event_scheduled_at_the_arrival_instant_runs_after_the_whole_batch():
+    topo = build_topology(make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)]),
+                          overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
+    eng = Engine(1)
+    med = Medium(topo, eng)
+    order = []
+
+    def deliver(nbr, li, t):
+        order.append(nbr)
+        if len(order) == 1:
+            eng.schedule(t, lambda: order.append("scheduled"))
+    med.broadcast(0, 512, deliver)
+    eng.run_until(0.5)
+    assert order == [nbr for (nbr, *_rest) in med._fanout[0]] + ["scheduled"]
+    assert len(order) == 4
+    assert eng.stats.events_processed == 2     # the batch, then its follower

@@ -229,9 +229,10 @@ RUN_STATE_ACTIONS = [
 
 # The digest covers the run's state without engine.events_processed, which
 # is pinned on its own: a change that stops scheduling events that do
-# nothing moves only the count.
+# nothing, or folds events that run back to back into one, moves only the
+# count.
 RUN_STATE_DIGEST = "d430f4434d70ffcca357824d2fc1cfafbe6137e97376e8363c74b440cbed1b48"
-RUN_STATE_EVENTS = 32556
+RUN_STATE_EVENTS = 19999
 
 
 def run_state_raw():

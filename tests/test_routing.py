@@ -1,11 +1,12 @@
 import heapq
+from functools import partial
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from meshsim import preset_path
-from meshsim.engine import rng_stream
+from meshsim.engine import Medium, rng_stream
 from meshsim.harness import Simulation
 from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
 from meshsim.scenario import Scenario
@@ -501,13 +502,14 @@ def held_seq(router, kind, origin):
     return router.seqs[kind].get(origin, 0)
 
 
-def flood_run(monkeypatch, scn, broadcast_ctrl=None):
+def flood_run(monkeypatch, scn, broadcast_ctrl=None, broadcast=None):
     """One seed-1 run of scn, optionally with broadcast_ctrl standing in for
-    Router._broadcast_ctrl: the flood copies it accepted as (t, receiver,
-    kind, origin, seq), the number it dropped on arrival, its run state
-    without the event count, and that count."""
-    accepted, dropped = [], []
-    receive = Router.receive_control
+    Router._broadcast_ctrl and broadcast for Medium.broadcast: the flood
+    copies it accepted as (t, receiver, kind, origin, seq), the number it
+    dropped on arrival, its run state without the event count, that count,
+    and every process_hello call as (t, receiver, link index)."""
+    accepted, dropped, hellos = [], [], []
+    receive, hello = Router.receive_control, Router.process_hello
 
     def logged(router, msg, t):
         copy = (t, router.node_id, msg["type"], msg["origin"], msg["seq"])
@@ -517,13 +519,20 @@ def flood_run(monkeypatch, scn, broadcast_ctrl=None):
             accepted.append(copy)
         else:
             dropped.append(copy)
+
+    def logged_hello(router, msg, link_idx, t):
+        hellos.append((t, router.node_id, link_idx))
+        hello(router, msg, link_idx, t)
     monkeypatch.setattr(Router, "receive_control", logged)
+    monkeypatch.setattr(Router, "process_hello", logged_hello)
     if broadcast_ctrl is not None:
         monkeypatch.setattr(Router, "_broadcast_ctrl", broadcast_ctrl)
+    if broadcast is not None:
+        monkeypatch.setattr(Medium, "broadcast", broadcast)
     state = run_state(Simulation(scn, 1))
     monkeypatch.undo()
     events = state["engine"].pop("events_processed")
-    return accepted, len(dropped), state, events
+    return accepted, len(dropped), state, events, hellos
 
 
 def mixed_rate_run_state_scenario():
@@ -544,8 +553,8 @@ RUN_STATE_VARIANTS = {"equal-rate": run_state_scenario,
 @pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
 def test_flood_elision_leaves_the_run_unchanged(monkeypatch, variant):
     scenario = RUN_STATE_VARIANTS[variant]
-    got, got_dropped, got_state, got_events = flood_run(monkeypatch, scenario())
-    want, want_dropped, want_state, want_events = flood_run(
+    got, got_dropped, got_state, got_events, _ = flood_run(monkeypatch, scenario())
+    want, want_dropped, want_state, want_events, _ = flood_run(
         monkeypatch, scenario(), reference_broadcast_ctrl)
     assert got == want                     # same copies taken at the same times
     assert got_state == want_state
@@ -558,6 +567,37 @@ def test_flood_elision_leaves_the_run_unchanged(monkeypatch, variant):
 
 
 def test_no_flood_copy_dropped_on_arrival_at_equal_rates(monkeypatch):
-    accepted, dropped, _state, _events = flood_run(monkeypatch, churn_scenario(True))
+    accepted, dropped, _state, _events, _ = flood_run(monkeypatch, churn_scenario(True))
     assert {kind for (_t, _rx, kind, _o, _q) in accepted} == {"tc", "hna"}
     assert dropped == 0
+
+
+# -- one event per broadcast arrival instant --------------------------------
+
+def reference_broadcast(medium, node_id, bits, deliver, wanted=None):
+    """Medium.broadcast as it was before arrivals were batched, kept as the
+    oracle: one event per reached neighbour link."""
+    engine = medium.engine
+    now = engine.now
+    for nbr, link_idx, d, capacity, slot in medium._fanout.get(node_id, ()):
+        if slot is not None:
+            air = bits / capacity
+            medium._cur_air[slot] += air
+            medium._win_air[slot] += air
+            engine.stats.frames_sent += 1
+        if medium._random() < medium._p[d]:
+            t_arrive = now + bits / capacity
+            if wanted is None or wanted(nbr, t_arrive):
+                engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
+def test_broadcast_batching_leaves_the_run_unchanged(monkeypatch, variant):
+    scenario = RUN_STATE_VARIANTS[variant]
+    got, _, got_state, got_events, got_hellos = flood_run(monkeypatch, scenario())
+    want, _, want_state, want_events, want_hellos = flood_run(
+        monkeypatch, scenario(), broadcast=reference_broadcast)
+    assert got == want                     # same copies taken at the same times
+    assert got_hellos == want_hellos       # same HELLOs heard, in the same order
+    assert got_state == want_state
+    assert got_events < want_events

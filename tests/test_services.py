@@ -25,9 +25,9 @@ def make_world(loss_script=None, users=None):
 
 def test_dedupe_filter():
     log = set()
-    assert dedupe(log, "m1") == "fresh"
-    assert dedupe(log, "m1") == "duplicate"
-    assert dedupe(log, "m2") == "fresh"
+    assert dedupe(log, "m1") is True
+    assert dedupe(log, "m1") is False
+    assert dedupe(log, "m2") is True
 
 
 # -- registration / auth ----------------------------------------------------
