@@ -41,7 +41,7 @@ def main():
     eng.run_until(14.0)                  # before bob's next beacon at 15.2
     state = server.deliveries[msg.msg_id]
     print(f"delivery state while bob is away: {state.phase}")
-    server.presence_update("bob", (20.0, 0.0), eng.now)  # bob comes back
+    server.presence_update("bob", eng.now)   # bob comes back
     eng.run_until(16.0)
     print(f"after bob returns: {state.phase}, inbox size {len(bob.inbox)}")
 

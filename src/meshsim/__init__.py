@@ -15,7 +15,7 @@ from .errors import *  # noqa: F401,F403
 from .harness import (ExperimentResult, MetricsReport, Simulation,
                       confidence_interval, export, run_scenario, sweep)
 from .metrics import ElpParams, elp_link
-from .qos import AdmissionLedger, Admit, FlowSpec, Reject, flow_airtime
+from .qos import AdmissionLedger, Admit, FlowSpec, QosParams, Reject, flow_airtime
 from .routing import Route, Router, RoutingParams, compute_routes, maybe_switch_route
 from .scenario import Scenario, load_scenario
 from .services import (Client, ClientSession, DeliveryState, Message,

@@ -72,9 +72,6 @@ class Engine:
             raise PastTime(f"schedule at {time} < now {self.now}")
         heappush(self._heap, (time, next(self._seq), fn))
 
-    def schedule_in(self, delay: float, fn) -> None:
-        self.schedule(self.now + delay, fn)
-
     def run_until(self, t_end: float) -> EngineStats:
         if t_end < self.now:
             raise PastTime(f"run_until {t_end} < now {self.now}")
@@ -184,7 +181,7 @@ class Medium:
         self._pending = [0] * (2 * n)
         self._cuts = [0] * n
         self.on_tx_failure: Callable | None = None      # (src, dst, link_idx, t)
-        engine.schedule_in(self._bucket_dt, self._rotate)
+        engine.schedule(engine.now + self._bucket_dt, self._rotate)
 
     def _rotate(self):
         self._bucket = (self._bucket + 1) % self.BUCKETS
@@ -194,7 +191,7 @@ class Medium:
             if v:
                 win[i] -= v
                 old[i] = 0.0
-        self.engine.schedule_in(self._bucket_dt, self._rotate)
+        self.engine.schedule(self.engine.now + self._bucket_dt, self._rotate)
 
     def busy_fraction(self, link_idx: int) -> float:
         """Measured busy fraction of the link's contention domain, clamped."""
@@ -346,7 +343,8 @@ class Medium:
         for idx in cut:
             self._cuts[idx] += 1
             self._p[2 * idx] = self._p[2 * idx + 1] = 0.0
-        self.engine.schedule_in(duration, partial(self._restore, cut))
+        self.engine.schedule(self.engine.now + duration,
+                             partial(self._restore, cut))
 
     def _restore(self, cut):
         for idx in cut:

@@ -48,10 +48,6 @@ class UnknownFlow(MeshSimError):
     """Flow id not present in the admission ledger."""
 
 
-class AuthError(MeshSimError):
-    """Registration rejected (secure mode only)."""
-
-
 class UnknownSession(MeshSimError):
     """Client session does not exist."""
 

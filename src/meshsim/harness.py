@@ -142,7 +142,6 @@ class Simulation:
         for cd in scenario.clients:
             self.clients[cd.id] = Client(cd.id, cd.attach, self.transport,
                                          self.server, scenario.services,
-                                         position=cd.position,
                                          video_answer=cd.video_answer)
         self._schedule_bringup()
         self._schedule_calls()
@@ -154,7 +153,7 @@ class Simulation:
         def bringup():
             self.server.start_presence_timer()
             for cid in sorted(self.clients):
-                self.clients[cid].register(mode="open")
+                self.clients[cid].register()
                 self.clients[cid].start_beacons()
         self.engine.schedule(0.2, bringup)
 
@@ -185,7 +184,7 @@ class Simulation:
             def go():
                 try:
                     self.stack.start_call(src, dst, tpl.duration,
-                                          tpl.codec_rate, background=background)
+                                          background=background)
                 except (SenderOffline, CalleeOffline, NoRoute):
                     pass          # offline or unreachable: call never happens
             self.engine.schedule(t, go)

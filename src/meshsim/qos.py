@@ -43,7 +43,17 @@ class Reject:
     needed: float
 
 
-def flow_airtime(flow: FlowSpec, link, goodput_factor: float = 0.8) -> float:
+@dataclass
+class QosParams:
+    u_max: float = 0.85               # airtime share a domain may commit
+    goodput_factor: float = 0.8       # usable share of a link's capacity
+
+    def __post_init__(self):
+        check_ranges(self, positive=("goodput_factor",))
+
+
+def flow_airtime(flow: FlowSpec, link,
+                 goodput_factor: float = QosParams.goodput_factor) -> float:
     """Fraction of channel time the flow occupies on one link traversal."""
     return flow.demand / (link.capacity * goodput_factor)
 
@@ -51,8 +61,8 @@ def flow_airtime(flow: FlowSpec, link, goodput_factor: float = 0.8) -> float:
 @dataclass
 class AdmissionLedger:
     topo: Topology
-    u_max: float = 0.85
-    goodput_factor: float = 0.8
+    u_max: float = QosParams.u_max
+    goodput_factor: float = QosParams.goodput_factor
     committed: dict[int, float] = field(default_factory=dict)
     flows: dict[str, dict[int, float]] = field(default_factory=dict)
     log: list = field(default_factory=list)

@@ -251,12 +251,7 @@ class Router:
     def _link_cost(self, nl: NeighborLink) -> float | None:
         if self.params.metric == "hop_count":
             return 1.0
-        medium, li = self.medium, nl.link_idx
-        # Medium.busy_fraction's cache check, inlined as transmit does
-        if medium.engine.now - medium._busy_cache_t[li] < 0.05:
-            busy = medium._busy_cache[li]
-        else:
-            busy = medium.busy_fraction(li)
+        busy = self.medium.busy_fraction(nl.link_idx)
         return metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, self.elp)
 
     #: routing-time cost multiplier for suppressed links: alternatives win,

@@ -22,7 +22,7 @@ import yaml
 from .engine import MacParams
 from .errors import ParseError, UnknownLink, ValidationError, check_ranges
 from .metrics import ElpParams
-from .qos import AdmissionLedger
+from .qos import AdmissionLedger, QosParams
 from .routing import RoutingParams
 from .services import ServiceParams
 from .topology import NodeSpec, PropagationModel, Topology, build_topology
@@ -31,10 +31,9 @@ _TOP_TYPES = {"topology": dict, "protocol": dict, "workload": dict, "run": dict}
 _TOPOLOGY_TYPES = {"nodes": list[NodeSpec], "link_overrides": list,
                    "link_deletions": list[list[int]], "propagation": PropagationModel}
 _PROTOCOL_TYPES = {"metric": str, "elp": ElpParams, "routing": dict,
-                   "engine": MacParams, "qos": dict, "services": ServiceParams}
+                   "engine": MacParams, "qos": QosParams, "services": ServiceParams}
 _OVERRIDE_TYPES = {"a": int, "b": int, "channel": int, "p": float, "p_fwd": float,
                    "p_rev": float}
-_QOS_TYPES = {"u_max": float, "goodput_factor": float}
 _RUN_TYPES = {"duration": float, "warmup": float, "seeds": list[int]}
 _ACTION_TYPES = {"at": float, "kind": str, "src": str, "dst": str, "client": str,
                  "node": int, "size": float, "chunk_size": float, "duration": float,
@@ -132,12 +131,11 @@ class CallTemplate:
     count: int = 0
     background: int = 0
     duration: float = 30.0
-    codec_rate: float = 64000.0
     start: float | None = None        # default: warmup end
     stagger: float = 0.05
 
     def __post_init__(self):
-        check_ranges(self, positive=("duration", "codec_rate"),
+        check_ranges(self, positive=("duration",),
                      nonnegative=("count", "background", "stagger"))
         if self.start is not None and self.start < 0:
             raise ValueError(f"start must be >= 0, got {self.start!r}")
@@ -147,7 +145,6 @@ class CallTemplate:
 class ClientDef:
     id: str
     attach: int
-    position: tuple[float, float] = (0.0, 0.0)
     video_answer: str = "accept"
 
 
@@ -161,8 +158,7 @@ class Scenario:
     elp: ElpParams
     routing: RoutingParams
     mac: MacParams
-    qos_u_max: float
-    qos_goodput: float
+    qos: QosParams
     services: ServiceParams
     clients: list[ClientDef]
     calls: CallTemplate
@@ -172,7 +168,7 @@ class Scenario:
     seeds: list[int]
 
     def make_ledger(self) -> AdmissionLedger:
-        return AdmissionLedger(self.topology, self.qos_u_max, self.qos_goodput)
+        return AdmissionLedger(self.topology, self.qos.u_max, self.qos.goodput_factor)
 
     @staticmethod
     def from_dict(raw: dict, name: str = "<dict>") -> "Scenario":
@@ -239,9 +235,6 @@ def _build(raw, name) -> Scenario:
     routing = _params(RoutingParams, proto.get("routing", {}), "protocol.routing",
                       problems, metric=metric)
     services = proto.get("services", ServiceParams())
-    qos = _mapping(proto.get("qos", {}), _QOS_TYPES, "protocol.qos", problems)
-    if qos.get("goodput_factor", 0.8) <= 0:
-        problems.append("protocol.qos.goodput_factor: must be > 0")
 
     # workload
     clients = workload.get("clients", [])
@@ -319,22 +312,21 @@ def _build(raw, name) -> Scenario:
                         f"airtime on the slowest link, {floor!r} s, got {value!r}")
         # so does a CBR stream the workload starts that sends a packet
         # every packet_bits / rate s, faster than its frame fits on the
-        # slowest link; a rate no stream uses is left alone
+        # slowest link; a rate no stream uses is left alone. The call
+        # template and call actions both stream at voice_rate.
         kinds = {act.get("kind") for act in actions}
-        streams = (("workload.calls", calls, "codec_rate", services.voice_packet_bits,
-                    calls.count or calls.background),
-                   ("protocol.services", services, "voice_rate",
-                    services.voice_packet_bits, "call" in kinds),
-                   ("protocol.services", services, "video_rate",
-                    services.video_packet_bits, "video_request" in kinds),
-                   ("protocol.services", services, "broadcast_rate",
-                    services.broadcast_packet_bits, "broadcast_audio" in kinds))
-        for path, params, name, bits, used in streams:
-            rate = getattr(params, name)
+        streams = (("voice_rate", services.voice_packet_bits,
+                    calls.count or calls.background or "call" in kinds),
+                   ("video_rate", services.video_packet_bits,
+                    "video_request" in kinds),
+                   ("broadcast_rate", services.broadcast_packet_bits,
+                    "broadcast_audio" in kinds))
+        for name, bits, used in streams:
+            rate = getattr(services, name)
             airtime = (bits + mac.header_bits) / slowest
             if used and bits / rate < airtime:
                 problems.append(
-                    f"{path}.{name}: sends a {bits}-bit packet every "
+                    f"protocol.services.{name}: sends a {bits}-bit packet every "
                     f"{bits / rate!r} s, less than its frame's airtime on the "
                     f"slowest link, {airtime!r} s")
     if problems:
@@ -346,8 +338,7 @@ def _build(raw, name) -> Scenario:
         elp=proto.get("elp", ElpParams()),
         routing=routing,
         mac=mac,
-        qos_u_max=qos.get("u_max", 0.85),
-        qos_goodput=qos.get("goodput_factor", 0.8),
+        qos=proto.get("qos", QosParams()),
         services=services,
         clients=clients,
         calls=calls,

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import (AuthError, CalleeOffline, DurationExceeded, NoRoute,
-                     ReceiverUnknown, SenderOffline, UnknownSession, check_ranges)
-from .qos import Admit, FlowSpec, Reject
+from .errors import (CalleeOffline, DurationExceeded, NoRoute, ReceiverUnknown,
+                     SenderOffline, UnknownSession, check_ranges)
+from .qos import FlowSpec, Reject
 
 
 @dataclass
@@ -50,7 +50,6 @@ class ClientSession:
     attach_node: int
     last_seen: float = 0.0
     status: str = "online"            # online | offline
-    position: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass
@@ -250,12 +249,10 @@ class FlowRunner:
 class Server:
     """Relay, registry, and store-and-forward core at the server node."""
 
-    def __init__(self, net, node_id, params: ServiceParams,
-                 users: dict[str, str] | None = None):
+    def __init__(self, net, node_id, params: ServiceParams):
         self.net = net
         self.node_id = node_id
         self.params = params
-        self.users = users or {}
         self.sessions: dict[str, ClientSession] = {}
         self.clients: dict[str, "Client"] = {}
         self.offline_queue: dict[str, list[Message]] = {}
@@ -264,25 +261,18 @@ class Server:
 
     # -- registration / presence -----------------------------------------
 
-    def register(self, client_id, credentials, mode, attach_node, t,
-                 position=(0.0, 0.0)) -> ClientSession:
-        if mode == "secure":
-            if self.users.get(client_id) != credentials:
-                raise AuthError(f"bad credentials for {client_id!r}")
-        elif mode not in ("open", "emergency"):
-            raise ValueError(f"unknown auth mode {mode!r}")
-        session = ClientSession(client_id, attach_node, t, "online", position)
+    def register(self, client_id, attach_node, t) -> ClientSession:
+        session = ClientSession(client_id, attach_node, t)
         self.sessions[client_id] = session
         self._flush_queue(client_id)
         return session
 
-    def presence_update(self, client_id, position, t):
+    def presence_update(self, client_id, t):
         session = self.sessions.get(client_id)
         if session is None:
             raise UnknownSession(client_id)
         was_offline = session.status == "offline"
         session.last_seen = t
-        session.position = position
         session.status = "online"
         if was_offline:
             self._flush_queue(client_id)
@@ -370,14 +360,12 @@ class Client:
     """Client-side state machine bound to an access node."""
 
     def __init__(self, client_id, attach_node, net, server: Server,
-                 params: ServiceParams, position=(0.0, 0.0),
-                 video_answer: str = "accept"):
+                 params: ServiceParams, video_answer: str = "accept"):
         self.client_id = client_id
         self.attach_node = attach_node
         self.net = net
         self.server = server
         self.params = params
-        self.position = position
         self.video_answer = video_answer   # accept | decline | none
         self.inbox: list[Message] = []
         self.receiver_log: set = set()
@@ -387,10 +375,9 @@ class Client:
 
     # -- session -----------------------------------------------------------
 
-    def register(self, mode="open", credentials=None, t=None) -> ClientSession:
+    def register(self, t=None) -> ClientSession:
         t = self.net.now() if t is None else t
-        return self.server.register(self.client_id, credentials, mode,
-                                    self.attach_node, t, self.position)
+        return self.server.register(self.client_id, self.attach_node, t)
 
     def start_beacons(self):
         def tick():
@@ -403,7 +390,7 @@ class Client:
 
     def _beacon_arrived(self, t):
         try:
-            self.server.presence_update(self.client_id, self.position, t)
+            self.server.presence_update(self.client_id, t)
         except UnknownSession:
             pass
 
@@ -589,18 +576,17 @@ class ServiceStack:
         return FlowRunner(self.net, spec.src, spec.dst, spec.packet_size,
                           spec.packet_size / spec.demand, t_end, rec)
 
-    def start_call(self, src_id, dst_id, duration, codec_rate=None,
-                   background=False):
-        """Bidirectional CBR call; admission-checked unless background."""
+    def start_call(self, src_id, dst_id, duration, background=False):
+        """Bidirectional CBR call at voice_rate; admission-checked unless
+        background."""
         p = self.params
-        rate = codec_rate or p.voice_rate
         src_node, dst_node = self._endpoints(src_id, dst_id)
         self._call_counter += 1
         call_id = f"call{self._call_counter}"
         kind = "background" if background else "voice"
-        fwd = FlowSpec(f"{call_id}/fwd", src_node, dst_node, rate,
+        fwd = FlowSpec(f"{call_id}/fwd", src_node, dst_node, p.voice_rate,
                        p.voice_packet_bits, kind)
-        rev = FlowSpec(f"{call_id}/rev", dst_node, src_node, rate,
+        rev = FlowSpec(f"{call_id}/rev", dst_node, src_node, p.voice_rate,
                        p.voice_packet_bits, kind)
         reserved = [] if background else self._reserve((fwd, rev))
         if isinstance(reserved, Reject):

@@ -20,7 +20,6 @@ class RadioSpec:
     nominal_rate: float       # bits/s
     tx_range: float           # meters
     cs_range: float           # meters, carrier sense >= tx_range
-    role: str = "backbone"    # backbone | access
 
 
 @dataclass(frozen=True)

@@ -138,12 +138,13 @@ def test_timer_below_floor_is_one_scenario_error(tmp_path):
 def test_stream_rate_above_floor_is_one_scenario_error(tmp_path):
     path = write_tiny(tmp_path)
     raw = yaml.safe_load(path.read_text())
-    raw["workload"]["calls"].update(background=1, codec_rate=1e12)
+    raw["workload"]["calls"].update(background=1)
+    raw["protocol"] = {"services": {"voice_rate": 1e12}}
     path.write_text(yaml.safe_dump(raw))
     proc = _cli(["run", str(path), "--seed", "1"])
     assert proc.returncode == 1
     assert proc.stderr.count("scenario error") == 1
-    assert "workload.calls.codec_rate" in proc.stderr
+    assert "protocol.services.voice_rate" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -6,7 +6,6 @@ lists catch a reordered random draw at the unit level. A change that is
 meant to alter simulated output updates these values and says why.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -20,6 +19,7 @@ from meshsim.scenario import Scenario
 from meshsim.topology import build_topology
 
 from conftest import make_nodes, two_node_topology
+from runstate import deliveries, run_state, run_state_scenario
 
 SEEDS = [1, 2]
 CALLS = [3]
@@ -189,10 +189,8 @@ def service_scenario():
 
 def service_state(sim, report):
     """Relay outcomes, flow rows with their admission flag, admission log."""
-    deliveries = sim.server.deliveries
     return {
-        "deliveries": [[k, deliveries[k].phase, deliveries[k].retries_used]
-                       for k in sorted(deliveries)],
+        "deliveries": deliveries(sim.server),
         "flows": [[f.flow_id, f.kind, f.src, f.dst, f.sent, f.delivered,
                    f.admitted] for f in report.flows],
         "admission": [list(e) for e in report.admission_log],
@@ -212,59 +210,13 @@ def test_services_fingerprint(tmp_path):
     assert digests == SERVICE_DIGESTS
 
 
-# Outages (two overlapping on 0<->1), SMS and one file transfer over calls
-# 2 / bg 1: the run-state digest covers what the exports cannot see, such as
-# every router's log and final table.
-RUN_STATE_ACTIONS = [
-    {"at": 8.0, "kind": "outage", "a": 0, "b": 1, "duration": 6.0},
-    {"at": 9.0, "kind": "sms", "src": "c02", "dst": "c07"},
-    {"at": 10.0, "kind": "outage", "a": 0, "b": 1, "duration": 3.0},
-    {"at": 11.0, "kind": "file", "src": "c03", "dst": "c09", "size": 64000.0,
-     "chunk_size": 8000.0},
-    {"at": 12.0, "kind": "outage", "a": 1, "b": 2, "duration": 15.0},
-    {"at": 13.0, "kind": "sms", "src": "c05", "dst": "c01"},
-    {"at": 15.0, "kind": "outage", "a": 8, "b": 9, "duration": 4.0},
-    {"at": 17.0, "kind": "sms", "src": "c08", "dst": "c04"},
-]
-
+# The run-state scenario and the state it projects are in runstate.py.
 # The digest covers the run's state without engine.events_processed, which
 # is pinned on its own: a change that stops scheduling events that do
 # nothing, or folds events that run back to back into one, moves only the
 # count.
 RUN_STATE_DIGEST = "d430f4434d70ffcca357824d2fc1cfafbe6137e97376e8363c74b440cbed1b48"
 RUN_STATE_EVENTS = 19999
-
-
-def run_state_raw():
-    with open(preset_path("indoor22")) as fh:
-        raw = yaml.safe_load(fh)
-    raw["run"].update(duration=30.0, warmup=6.0)
-    raw["workload"]["calls"].update(count=2, background=1)
-    raw["workload"]["actions"] = RUN_STATE_ACTIONS
-    return raw
-
-
-def run_state_scenario():
-    return Scenario.from_dict(run_state_raw(), "indoor22-run-state")
-
-
-def run_state(sim):
-    """Routers' logs and tables, engine and transport counts, admission
-    log and relay outcomes of one finished run."""
-    report = sim.run()
-    deliveries = sim.server.deliveries
-    return {
-        "routers": {str(nid): {
-            "events": [list(e) for e in r.events],
-            "table": [[d, t.next_hop, t.path_cost, list(t.path), t.link_idx,
-                       t.forward] for d, t in r.table.items()]}
-            for nid, r in sorted(sim.routers.items())},
-        "engine": dataclasses.asdict(sim.engine.stats),
-        "no_route_drops": sim.transport.no_route_drops,
-        "admission": [list(e) for e in report.admission_log],
-        "deliveries": [[k, deliveries[k].phase, deliveries[k].retries_used]
-                       for k in sorted(deliveries)],
-    }
 
 
 def test_run_state_fingerprint():

@@ -12,7 +12,7 @@ from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
 from meshsim.scenario import Scenario
 
 from conftest import make_net
-from test_fingerprint import run_state, run_state_raw, run_state_scenario
+from runstate import run_state, run_state_raw, run_state_scenario
 
 
 # -- shortest paths ---------------------------------------------------------

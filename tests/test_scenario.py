@@ -53,12 +53,17 @@ def test_malformed_yaml_is_parse_error(tmp_path):
 def test_unknown_keys_reported_with_paths():
     raw = minimal_dict()
     raw["topology"]["nodes"][0]["colour"] = "red"
+    raw["topology"]["nodes"][0]["radios"][0]["role"] = "backbone"
+    raw["workload"]["clients"][0]["position"] = [1.0, 2.0]
+    raw["workload"]["calls"] = {"codec_rate": 64000}
     raw["run"]["warmupp"] = 1
     with pytest.raises(ValidationError) as exc:
         Scenario.from_dict(raw)
-    text = str(exc.value)
-    assert "topology.nodes[0].colour" in text
-    assert "run.warmupp" in text
+    problems = exc.value.problems
+    for path in ("topology.nodes[0].colour", "topology.nodes[0].radios[0].role",
+                 "workload.clients[0].position", "workload.calls.codec_rate",
+                 "run.warmupp"):
+        assert f"{path}: unknown key" in problems
 
 
 def test_action_referencing_undefined_client():
@@ -150,7 +155,7 @@ def test_protocol_overrides_flow_through():
     assert scn.routing.maintenance is False
     assert scn.mac.retry_limit == 3
     assert scn.mac.header_bits == 400
-    assert scn.qos_u_max == 0.5
+    assert scn.qos.u_max == 0.5
     assert scn.services.ack_timeout == 1.0
 
 
@@ -188,6 +193,7 @@ def test_every_service_param_is_a_key():
     ("workload", "actions", [5], "workload.actions[0]"),
     ("workload", "actions", [{"at": 1.0, "kind": "broadcast_audio", "duration": 500.0}],
      "workload.actions[0].duration"),
+    ("protocol", "qos", {"goodput_factor": 0}, "protocol.qos"),
 ])
 def test_malformed_value_names_its_path(section, key, value, path):
     raw = minimal_dict()
@@ -233,34 +239,32 @@ def test_timer_below_one_control_frame_is_rejected(section, name):
                            {"engine": "mac"}.get(section, section)), name) == floor
 
 
-# (section, rate field, packet bits field, workload that starts the stream)
+# (id, services rate field, packet bits field, workload that starts the
+# stream): the call template and a call action both stream at voice_rate
 STREAM_RATES = [
-    ("workload.calls", "codec_rate", "voice_packet_bits", {"background": 1}),
-    ("protocol.services", "voice_rate", "voice_packet_bits",
-     {"kind": "call", "src": "c1", "dst": "c2"}),
-    ("protocol.services", "video_rate", "video_packet_bits",
-     {"kind": "video_request", "src": "c1", "dst": "c2"}),
-    ("protocol.services", "broadcast_rate", "broadcast_packet_bits",
-     {"kind": "broadcast_audio", "duration": 10.0})]
+    ("voice_rate-template", "voice_rate", "voice_packet_bits",
+     {"calls": {"background": 1}}),
+    ("voice_rate", "voice_rate", "voice_packet_bits",
+     {"actions": [{"at": 6.0, "kind": "call", "src": "c1", "dst": "c2"}]}),
+    ("video_rate", "video_rate", "video_packet_bits",
+     {"actions": [{"at": 6.0, "kind": "video_request", "src": "c1", "dst": "c2"}]}),
+    ("broadcast_rate", "broadcast_rate", "broadcast_packet_bits",
+     {"actions": [{"at": 6.0, "kind": "broadcast_audio", "duration": 10.0}]})]
 
 
-def with_rate(section, name, value, use=None):
-    """minimal_dict with name set to value, and the stream started by use."""
+def with_rate(name, value, use=None):
+    """minimal_dict with services.name set to value, and the stream
+    started by the workload keys in use."""
     raw = minimal_dict()
-    workload = raw["workload"]
-    workload["clients"].append({"id": "c2", "attach": 0})
-    if section == "workload.calls":
-        workload["calls"] = {name: value, **(use or {})}
-    else:
-        raw["protocol"] = {"services": {name: value}}
-        if use is not None:
-            workload["actions"] = [{"at": 6.0, **use}]
+    raw["workload"]["clients"].append({"id": "c2", "attach": 0})
+    raw["workload"].update(use or {})
+    raw["protocol"] = {"services": {name: value}}
     return raw
 
 
-@pytest.mark.parametrize("section,name,bits_field,use", STREAM_RATES,
-                         ids=[r[1] for r in STREAM_RATES])
-def test_stream_faster_than_its_frame_is_rejected(section, name, bits_field, use):
+@pytest.mark.parametrize("name,bits_field,use", [r[1:] for r in STREAM_RATES],
+                         ids=[r[0] for r in STREAM_RATES])
+def test_stream_faster_than_its_frame_is_rejected(name, bits_field, use):
     # a packet every bits / rate s must leave room for its frame,
     # bits + 320 header bits, on the only link
     scn = Scenario.from_dict(minimal_dict())
@@ -269,22 +273,22 @@ def test_stream_faster_than_its_frame_is_rejected(section, name, bits_field, use
     top = bits * capacity / (bits + 320)
     for value in (1e12, top * 1.001):
         with pytest.raises(ValidationError) as exc:
-            Scenario.from_dict(with_rate(section, name, value, use))
-        assert f"{section}.{name}" in str(exc.value)
-    scn = Scenario.from_dict(with_rate(section, name, top * 0.999, use))
-    owner = scn.calls if section == "workload.calls" else scn.services
-    assert getattr(owner, name) == top * 0.999
+            Scenario.from_dict(with_rate(name, value, use))
+        assert f"protocol.services.{name}" in str(exc.value)
+    scn = Scenario.from_dict(with_rate(name, top * 0.999, use))
+    assert getattr(scn.services, name) == top * 0.999
     # a rate that no stream of the workload uses is not checked
-    Scenario.from_dict(with_rate(section, name, 1e12))
+    Scenario.from_dict(with_rate(name, 1e12))
 
 
-def test_huge_background_codec_rate_is_rejected():
+def test_huge_background_voice_rate_is_rejected():
     # validated, this ran 15,624 events in the first 10 simulated
     # microseconds after warmup and never reached warmup + 0.1 s
     with open(preset_path("indoor22")) as fh:
         raw = yaml.safe_load(fh)
-    raw["workload"]["calls"] = {"count": 0, "background": 1, "codec_rate": 1e12}
+    raw["workload"]["calls"] = {"count": 0, "background": 1}
+    raw["protocol"]["services"]["voice_rate"] = 1e12
     with pytest.raises(ValidationError) as exc:
         Scenario.from_dict(raw)
     assert len(exc.value.problems) == 1
-    assert exc.value.problems[0].startswith("workload.calls.codec_rate")
+    assert exc.value.problems[0].startswith("protocol.services.voice_rate")

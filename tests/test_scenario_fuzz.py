@@ -93,14 +93,18 @@ def _actions(*actions):
 # Each timer at 1e-9 s and each CBR rate at 1e12 b/s, with the streams
 # started inside the two seconds; calls, videos and broadcasts stay on
 # node 0, where c01, c08 and the server sit, so they start without routes.
+# voice_rate is tried once with the preset's call template and once with a
+# call action alone.
 STALLS = [
     [(("protocol", "routing", "hello_interval"), "replace", 1e-9, "x")],
     [(("protocol", "routing", "tc_interval"), "replace", 1e-9, "x")],
     [(("protocol", "routing"), "add", 1e-9, "recompute_interval")],
     [(("protocol", "services", "beacon_interval"), "replace", 1e-9, "x")],
     [(("protocol", "engine"), "add", 1e-9, "busy_window")],
-    [(("workload", "calls", "codec_rate"), "replace", 1e12, "x")],
-    [(("protocol", "services"), "add", 1e12, "voice_rate"),
+    [(("protocol", "services"), "add", 1e12, "voice_rate")],
+    [(("workload", "calls", "count"), "replace", 0, "x"),
+     (("workload", "calls", "background"), "replace", 0, "x"),
+     (("protocol", "services"), "add", 1e12, "voice_rate"),
      _actions({"at": 0.5, "kind": "call", "src": "c01", "dst": "c08"})],
     [(("protocol", "services"), "add", 1e12, "video_rate"),
      _actions({"at": 0.2, "kind": "video_request", "src": "c01", "dst": "c08",

@@ -1,7 +1,6 @@
 import pytest
 
-from meshsim.errors import (AuthError, CalleeOffline, DurationExceeded,
-                            ReceiverUnknown, SenderOffline, UnknownSession)
+from meshsim.errors import ReceiverUnknown, SenderOffline, UnknownSession
 from meshsim.services import (AckRetrySender, Client, Server, ServiceParams,
                               dedupe)
 
@@ -12,10 +11,10 @@ NODE_A = 10    # alice's attach node
 NODE_B = 20    # bob's attach node
 
 
-def make_world(loss_script=None, users=None):
+def make_world(loss_script=None):
     net = FakeNet(loss_script)
     params = ServiceParams()
-    server = Server(net, SRV, params, users=users)
+    server = Server(net, SRV, params)
     alice = Client("alice", NODE_A, net, server, params)
     bob = Client("bob", NODE_B, net, server, params)
     return net, server, alice, bob
@@ -30,32 +29,13 @@ def test_dedupe_filter():
     assert dedupe(log, "m2") is True
 
 
-# -- registration / auth ----------------------------------------------------
+# -- registration -----------------------------------------------------------
 
 def test_open_mode_no_credentials():
     _net, server, alice, _bob = make_world()
-    session = alice.register(mode="open")
+    session = alice.register()
     assert session.status == "online"
     assert server.is_online("alice")
-
-
-def test_secure_mode_checks_password():
-    _net, _server, alice, _bob = make_world(users={"alice": "hunter2"})
-    with pytest.raises(AuthError):
-        alice.register(mode="secure", credentials="wrong")
-    assert alice.register(mode="secure", credentials="hunter2").status == "online"
-
-
-def test_emergency_mode_accepts_unknown_users():
-    _net, server, alice, _bob = make_world(users={"someone": "pw"})
-    assert alice.register(mode="emergency").status == "online"
-    assert server.is_online("alice")
-
-
-def test_unknown_auth_mode_rejected():
-    _net, _server, alice, _bob = make_world()
-    with pytest.raises(ValueError):
-        alice.register(mode="anonymous")
 
 
 # -- presence ---------------------------------------------------------------
@@ -63,10 +43,9 @@ def test_unknown_auth_mode_rejected():
 def test_presence_update_keeps_client_online():
     _net, server, alice, _bob = make_world()
     alice.register(t=0.0)
-    server.presence_update("alice", (1.0, 2.0), 5.0)
+    server.presence_update("alice", 5.0)
     server.expire_stale(6.0)
     assert server.is_online("alice")
-    assert server.sessions["alice"].position == (1.0, 2.0)
 
 
 def test_silence_past_timeout_goes_offline():
@@ -79,7 +58,7 @@ def test_silence_past_timeout_goes_offline():
 def test_presence_update_for_unknown_session():
     _net, server, _alice, _bob = make_world()
     with pytest.raises(UnknownSession):
-        server.presence_update("ghost", (0, 0), 1.0)
+        server.presence_update("ghost", 1.0)
 
 
 def test_beacons_refresh_presence():
