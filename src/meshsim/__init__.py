@@ -8,8 +8,6 @@ a relayed store-and-forward messaging layer, and an experiment harness that
 reproduces PDR/delay/jitter sweeps with confidence intervals.
 """
 
-from importlib import resources as _resources
-
 from .engine import Engine, EngineStats, MacParams, Medium, TransmitOutcome, rng_stream
 from .errors import *  # noqa: F401,F403
 from .harness import (ExperimentResult, MetricsReport, Simulation,
@@ -28,7 +26,8 @@ __version__ = "0.1.0"
 
 def preset_path(name: str):
     """Filesystem path of a bundled scenario preset (e.g. 'indoor22')."""
-    return _resources.files(__name__) / "presets" / f"{name}.yaml"
+    from importlib import resources    # not at module level: slow to import
+    return resources.files(__name__) / "presets" / f"{name}.yaml"
 
 
 def load_preset(name: str) -> Scenario:

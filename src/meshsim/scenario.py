@@ -17,8 +17,6 @@ import types
 import typing
 from dataclasses import dataclass
 
-import yaml
-
 from .engine import MacParams
 from .errors import ParseError, UnknownLink, ValidationError, check_ranges
 from .metrics import ElpParams
@@ -175,17 +173,39 @@ class Scenario:
         return _build(raw, name)
 
 
+@functools.cache
+def _yaml_loader():
+    """PyYAML's safe loader on libyaml's C scanner and parser where PyYAML was
+    built with libyaml, else the pure-Python one. Both build the document with
+    the same safe constructor and resolver, so a scenario file gives equal
+    dicts; they part only at the edges of the syntax (see the README)."""
+    import yaml
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> Scenario:
+    # yaml is imported here, not at module level, so that `import meshsim`
+    # and Scenario.from_dict do without it
+    import yaml
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file")
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror}")
+    try:
+        # bytes, not str: the loader decodes them, and bad UTF-8 is a YAMLError
+        raw = yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as e:
         raise ParseError(f"{path}: {e}")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
     return _build(raw, str(path))
+
+
+def _reported(problems, *paths) -> bool:
+    """Whether a problem was recorded at one of paths or inside it."""
+    heads = tuple(f"{path}{sep}" for path in paths for sep in ":[")
+    return any(p.startswith(heads) for p in problems)
 
 
 def _build(raw, name) -> Scenario:
@@ -195,6 +215,12 @@ def _build(raw, name) -> Scenario:
     proto = _mapping(top.get("protocol", {}), _PROTOCOL_TYPES, "protocol", problems)
     workload = _mapping(top.get("workload", {}), _WORKLOAD_TYPES, "workload", problems)
     run = _mapping(top.get("run", {}), _RUN_TYPES, "run", problems)
+    # a list that lost an item, or the section holding it, to a problem above
+    # is no ground for checking references to it: they would only report
+    # knock-on errors
+    nodes_whole = not _reported(problems, "scenario", "scenario.topology",
+                                "topology.nodes")
+    clients_whole = not _reported(problems, "workload.clients")
 
     # topology
     nodes = topo.get("nodes", [])
@@ -203,7 +229,7 @@ def _build(raw, name) -> Scenario:
         if n.id in node_ids:
             problems.append(f"topology.nodes: duplicate node id {n.id}")
         node_ids.add(n.id)
-    if not any(n.is_server for n in nodes):
+    if nodes_whole and not any(n.is_server for n in nodes):
         problems.append("topology.nodes: no node is a server")
 
     overrides = {}
@@ -242,7 +268,7 @@ def _build(raw, name) -> Scenario:
     for c in clients:
         if c.id in client_ids:
             problems.append(f"workload.clients: duplicate client id {c.id!r}")
-        if node_ids and c.attach not in node_ids:
+        if nodes_whole and node_ids and c.attach not in node_ids:
             problems.append(f"workload.clients: client {c.id!r} attaches to "
                             f"undefined node {c.attach}")
         client_ids.add(c.id)
@@ -259,10 +285,12 @@ def _build(raw, name) -> Scenario:
         problems.extend(f"{path}: {kind} needs key {k!r}"
                         for k in _ACTION_NEEDS.get(kind, ()) if k not in a)
         for key, value in act.items():
-            if key in ("src", "dst", "client") and value not in client_ids:
-                problems.append(f"{path}.{key}: undefined client {value!r}")
-            elif key in ("node", "a", "b") and value not in node_ids:
-                problems.append(f"{path}.{key}: undefined node {value!r}")
+            if key in ("src", "dst", "client"):
+                if clients_whole and value not in client_ids:
+                    problems.append(f"{path}.{key}: undefined client {value!r}")
+            elif key in ("node", "a", "b"):
+                if nodes_whole and value not in node_ids:
+                    problems.append(f"{path}.{key}: undefined node {value!r}")
             elif key in ("size", "chunk_size", "duration") and value <= 0:
                 problems.append(f"{path}.{key}: must be > 0, got {value!r}")
         limit = services.broadcast_limit

@@ -148,6 +148,20 @@ def test_stream_rate_above_floor_is_one_scenario_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("content", [b"run: \x80\x81\n", b"topology: [unclosed\n",
+                                     None], ids=["bad-utf8", "syntax", "directory"])
+def test_unreadable_file_is_one_scenario_error(tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+    proc = _cli(["validate", str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("scenario error: ")
+    assert proc.stderr.count("scenario error") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_one():
     # one argparse path per kind of mistake, in a fresh interpreter
     for argv in (["run", "tiny.yaml", "--seed", "x"],

@@ -1,7 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from meshsim import preset_path
+import meshsim
+from meshsim import preset_path, scenario
 from meshsim.errors import ParseError, ValidationError
 from meshsim.scenario import Scenario, load_scenario
 
@@ -292,3 +299,111 @@ def test_huge_background_voice_rate_is_rejected():
         Scenario.from_dict(raw)
     assert len(exc.value.problems) == 1
     assert exc.value.problems[0].startswith("protocol.services.voice_rate")
+
+
+@pytest.mark.parametrize("content", [b"run: \x80\x81\n", None],
+                         ids=["bad-utf8", "directory"])
+def test_unreadable_file_is_parse_error(tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+    with pytest.raises(ParseError, match=str(path)):
+        load_scenario(path)
+
+
+def test_bad_node_field_reports_no_knock_on_errors():
+    # node 0 is the server and c01 and c08 attach to it; dropping the node
+    # for its bad radio key must not also report those as problems
+    with open(preset_path("outdoor7")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["topology"]["nodes"][0]["radios"][0]["role"] = "backbone"
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == ["topology.nodes[0].radios[0].role: unknown key"]
+    # nor when the whole section is lost
+    raw["topology"] = 5
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == ["scenario.topology: expected dict, got 5"]
+
+
+def test_bad_client_field_reports_no_knock_on_errors():
+    raw = minimal_dict()
+    raw["workload"]["clients"][0]["video_answer"] = 3
+    raw["workload"]["actions"] = [
+        {"at": 1.0, "kind": "attach", "client": "c1", "node": 0}]
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == [
+        "workload.clients[0].video_answer: expected str, got 3"]
+    # the checks still run against whole lists
+    raw["workload"]["clients"][0]["video_answer"] = "accept"
+    raw["workload"]["actions"][0].update(client="c2", node=7)
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == ["workload.actions[0].client: undefined client 'c2'",
+                                  "workload.actions[0].node: undefined node 7"]
+
+
+C_LOADER = getattr(yaml, "CSafeLoader", None)
+needs_libyaml = pytest.mark.skipif(C_LOADER is None,
+                                   reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", ["indoor22", "outdoor7"])
+def test_loaders_agree_on_presets(name):
+    text = preset_path(name).read_bytes()
+    assert yaml.load(text, Loader=C_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+SECTION_KEYS = ["topology", "protocol", "workload", "run", "nodes", "radios",
+                "position", "channel", "seeds", "duration", "actions", "kind"]
+scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+           | st.text())
+documents = st.dictionaries(
+    st.sampled_from(SECTION_KEYS) | st.text(),
+    st.recursive(scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(SECTION_KEYS) | st.text(), inner, max_size=4), max_leaves=30),
+    max_size=5)
+
+
+@needs_libyaml
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(doc=documents)
+def test_loaders_agree_on_dumped_documents(doc):
+    text = yaml.safe_dump(doc).encode()
+    assert yaml.load(text, Loader=C_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_load_scenario_with_the_pure_python_loader(monkeypatch, tmp_path):
+    path = preset_path("outdoor7")
+    default = load_scenario(path)
+    used = []
+    monkeypatch.setattr(scenario, "_yaml_loader",
+                        lambda: used.append(1) or yaml.SafeLoader)
+    pure = load_scenario(path)
+    assert used
+    # links compare by identity, so compare what they are built from
+    assert pure.topology.nodes == default.topology.nodes
+    assert (dataclasses.replace(pure, topology=None)
+            == dataclasses.replace(default, topology=None))
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"run: \x80\x81\n")
+    with pytest.raises(ParseError):
+        load_scenario(bad)
+
+
+@pytest.mark.parametrize("flags,absent", [
+    ([], ["yaml"]),
+    # without site, nothing else has imported importlib.resources
+    (["-S"], ["yaml", "importlib.resources"]),
+])
+def test_import_meshsim_loads_no_yaml(flags, absent):
+    src = os.path.dirname(os.path.dirname(meshsim.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import meshsim; "
+            f"print([m for m in {absent!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
