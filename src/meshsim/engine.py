@@ -47,9 +47,11 @@ class Engine:
 
     Heap entries are plain (time, seq, fn) tuples; seq breaks time ties in
     scheduling order, and fn is called with no arguments. One event may do
-    the work of several that would run back to back: Medium.broadcast
-    schedules one per arrival instant, not one per receiver, and an event
-    scheduled at its time by any of them still runs after all of them.
+    the work of several that would run back to back, in two places.
+    Medium.broadcast schedules one per arrival instant, not one per
+    receiver, and an event scheduled at its time by any of them still runs
+    after all of them. services.FlowRunner ticks every leg of one stream in
+    one event, not one per leg, with the one exception its docstring names.
     """
 
     def __init__(self, seed: int = 0):

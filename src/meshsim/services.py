@@ -218,17 +218,26 @@ class FlowRecord:
 
 
 class FlowRunner:
-    """CBR packet generator for one unidirectional flow."""
+    """CBR packet generator for the legs of one stream.
 
-    def __init__(self, net, src_node, dst_node, packet_bits, interval,
-                 t_end, record: FlowRecord):
+    legs lists (src node, dst node, FlowRecord) triples that share packet
+    size, interval and end: a call's two directions, a broadcast's
+    listeners, a video's one leg. Each tick is one event that sends one
+    packet per leg in leg order and schedules the next tick.
+
+    That is the run one runner per leg made, whose ticks at one instant
+    took consecutive seqs, with one exception. An event that a leg's send
+    schedules for exactly the next tick instant (its first-hop frame
+    completing then, to the last bit) ran after the earlier legs' ticks and
+    before its own leg's; now it runs before the whole tick.
+    """
+
+    def __init__(self, net, legs, packet_bits, interval, t_end):
         self.net = net
-        self.src_node = src_node
-        self.dst_node = dst_node
+        self.legs = legs
         self.packet_bits = packet_bits
         self.interval = interval
         self.t_end = t_end
-        self.record = record
 
     def start(self):
         self._tick()
@@ -239,10 +248,10 @@ class FlowRunner:
         now = net.now()
         if now >= self.t_end:
             return
-        record = self.record
-        record.on_send(now)
-        net.send(self.src_node, self.dst_node, self.packet_bits,
-                 partial(record.on_recv, now))
+        send, bits = net.send, self.packet_bits
+        for src_node, dst_node, record in self.legs:
+            record.on_send(now)
+            send(src_node, dst_node, bits, partial(record.on_recv, now))
         net.schedule(now + self.interval, self._tick)
 
 
@@ -568,13 +577,19 @@ class ServiceStack:
                     self.ledger.release(fid)
         return reserved
 
-    def _runner(self, spec: FlowSpec, src_id, dst_id, t_end) -> "FlowRunner":
-        """A CBR generator for spec, with its FlowRecord added to flows."""
-        rec = FlowRecord(spec.id, spec.kind, src_id, dst_id,
-                         measure_from=self.warmup)
-        self.flows.append(rec)
-        return FlowRunner(self.net, spec.src, spec.dst, spec.packet_size,
-                          spec.packet_size / spec.demand, t_end, rec)
+    def _runner(self, legs, t_end) -> FlowRunner:
+        """One CBR generator for the legs of a stream, with their
+        FlowRecords added to flows. legs are (spec, src client, dst client)
+        triples whose specs share one rate and packet size."""
+        spec = legs[0][0]
+        triples = []
+        for leg, src_id, dst_id in legs:
+            rec = FlowRecord(leg.id, leg.kind, src_id, dst_id,
+                             measure_from=self.warmup)
+            self.flows.append(rec)
+            triples.append((leg.src, leg.dst, rec))
+        return FlowRunner(self.net, triples, spec.packet_size,
+                          spec.packet_size / spec.demand, t_end)
 
     def start_call(self, src_id, dst_id, duration, background=False):
         """Bidirectional CBR call at voice_rate; admission-checked unless
@@ -595,10 +610,10 @@ class ServiceStack:
             return reserved
         now = self.net.now()
         t_end = now + duration
-        handle = CallHandle([self._runner(fwd, src_id, dst_id, t_end),
-                             self._runner(rev, dst_id, src_id, t_end)],
+        handle = CallHandle(self._runner([(fwd, src_id, dst_id),
+                                          (rev, dst_id, src_id)], t_end),
                             self.ledger, reserved)
-        self.net.schedule(now, handle.begin)
+        self.net.schedule(now, handle.runner.start)
         self.net.schedule(t_end, handle.finish)
         return handle
 
@@ -608,16 +623,15 @@ class ServiceStack:
         if duration > p.broadcast_limit:
             raise DurationExceeded(f"{duration}s > {p.broadcast_limit}s")
         t_end = self.net.now() + duration
-        records = []
-        for cid in sorted(self.server.sessions):
-            if not self.server.is_online(cid):
-                continue
-            spec = FlowSpec(f"bcast/{cid}", self.server.node_id,
-                            self.server.sessions[cid].attach_node,
-                            p.broadcast_rate, p.broadcast_packet_bits, "broadcast")
-            runner = self._runner(spec, "server", cid, t_end).start()
-            records.append(runner.record)
-        return records
+        sessions = self.server.sessions
+        legs = [(FlowSpec(f"bcast/{cid}", self.server.node_id,
+                          sessions[cid].attach_node, p.broadcast_rate,
+                          p.broadcast_packet_bits, "broadcast"), "server", cid)
+                for cid in sorted(sessions) if self.server.is_online(cid)]
+        if not legs:
+            return []
+        runner = self._runner(legs, t_end).start()
+        return [record for _src, _dst, record in runner.legs]
 
     def request_video(self, src_id, dst_id, duration=30.0) -> "VideoRequest":
         """Confirm-first video: stream only starts on the receiver's accept."""
@@ -627,16 +641,12 @@ class ServiceStack:
 
 
 class CallHandle:
-    """The runners of one stream and the reservations that finish releases."""
+    """The runner of one stream and the reservations that finish releases."""
 
-    def __init__(self, runners, ledger, reserved):
-        self.runners = runners
+    def __init__(self, runner, ledger, reserved):
+        self.runner = runner
         self.ledger = ledger
         self.reserved = reserved
-
-    def begin(self):
-        for r in self.runners:
-            r.start()
 
     def finish(self):
         for fid in self.reserved:
@@ -696,8 +706,8 @@ class VideoRequest:
             return
         self.result = "accepted"
         t_end = stack.net.now() + self.duration
-        runner = stack._runner(spec, self.src_id, self.dst_id, t_end).start()
-        stack.net.schedule(t_end, CallHandle([runner], stack.ledger,
+        runner = stack._runner([(spec, self.src_id, self.dst_id)], t_end).start()
+        stack.net.schedule(t_end, CallHandle(runner, stack.ledger,
                                              reserved).finish)
 
     def _timeout(self):

@@ -40,6 +40,21 @@ def run_state_scenario():
     return Scenario.from_dict(run_state_raw(), "indoor22-run-state")
 
 
+def mixed_rate_run_state_scenario():
+    """The run-state scenario with each node's radios at 2, 5.5 or 12 Mb/s
+    by node id, so a copy sent later over a faster link can overtake one
+    already in flight."""
+    raw = run_state_raw()
+    for node in raw["topology"]["nodes"]:
+        for radio in node["radios"]:
+            radio["nominal_rate"] = (2e6, 5.5e6, 12e6)[node["id"] % 3]
+    return Scenario.from_dict(raw, "indoor22-run-state-mixed-rate")
+
+
+RUN_STATE_VARIANTS = {"equal-rate": run_state_scenario,
+                      "mixed-rate": mixed_rate_run_state_scenario}
+
+
 def deliveries(server):
     """Each relayed message's outcome, by message id."""
     d = server.deliveries

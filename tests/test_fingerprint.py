@@ -216,7 +216,7 @@ def test_services_fingerprint(tmp_path):
 # nothing, or folds events that run back to back into one, moves only the
 # count.
 RUN_STATE_DIGEST = "d430f4434d70ffcca357824d2fc1cfafbe6137e97376e8363c74b440cbed1b48"
-RUN_STATE_EVENTS = 19999
+RUN_STATE_EVENTS = 16407
 
 
 def test_run_state_fingerprint():

@@ -12,7 +12,7 @@ from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
 from meshsim.scenario import Scenario
 
 from conftest import make_net
-from runstate import run_state, run_state_raw, run_state_scenario
+from runstate import RUN_STATE_VARIANTS, run_state
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -533,21 +533,6 @@ def flood_run(monkeypatch, scn, broadcast_ctrl=None, broadcast=None):
     monkeypatch.undo()
     events = state["engine"].pop("events_processed")
     return accepted, len(dropped), state, events, hellos
-
-
-def mixed_rate_run_state_scenario():
-    """The run-state scenario with each node's radios at 2, 5.5 or 12 Mb/s
-    by node id, so a copy sent later over a faster link can overtake one
-    already in flight."""
-    raw = run_state_raw()
-    for node in raw["topology"]["nodes"]:
-        for radio in node["radios"]:
-            radio["nominal_rate"] = (2e6, 5.5e6, 12e6)[node["id"] % 3]
-    return Scenario.from_dict(raw, "indoor22-run-state-mixed-rate")
-
-
-RUN_STATE_VARIANTS = {"equal-rate": run_state_scenario,
-                      "mixed-rate": mixed_rate_run_state_scenario}
 
 
 @pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))

@@ -1,14 +1,19 @@
 """Call, broadcast, and video behavior of the service stack."""
 
+from functools import partial
+
 import pytest
 
+from meshsim import services
 from meshsim.errors import CalleeOffline, DurationExceeded, NoRoute, SenderOffline
-from meshsim.harness import Simulation
+from meshsim.harness import Simulation, single_run_result
 from meshsim.qos import Reject
 from meshsim.scenario import Scenario
 from meshsim.services import Client, Server, ServiceParams, ServiceStack
 
 from conftest import FakeNet
+from runstate import RUN_STATE_VARIANTS, run_state
+from test_fingerprint import export_digests, service_scenario, service_state
 
 
 def make_stack(n_clients=2, attach=0):
@@ -200,3 +205,101 @@ def test_send_that_arrives_is_not_a_no_route_drop(with_callback):
     sim.engine.run_until(11.0)
     assert sim.transport.no_route_drops == drops
     assert len(arrived) == with_callback
+
+
+# -- one tick event per stream ----------------------------------------------
+
+class OneLegFlowRunner:
+    """FlowRunner as it was before the legs of a stream shared one tick
+    event, kept as the oracle: a CBR generator for one unidirectional flow."""
+
+    def __init__(self, net, src_node, dst_node, packet_bits, interval,
+                 t_end, record):
+        self.net = net
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.packet_bits = packet_bits
+        self.interval = interval
+        self.t_end = t_end
+        self.record = record
+
+    def start(self):
+        self._tick()
+        return self
+
+    def _tick(self):
+        net = self.net
+        now = net.now()
+        if now >= self.t_end:
+            return
+        record = self.record
+        record.on_send(now)
+        net.send(self.src_node, self.dst_node, self.packet_bits,
+                 partial(record.on_recv, now))
+        net.schedule(now + self.interval, self._tick)
+
+
+class reference_flow_runner:
+    """Stands in for FlowRunner: one OneLegFlowRunner per leg, started in
+    leg order, so each leg ticks as its own event."""
+
+    def __init__(self, net, legs, packet_bits, interval, t_end):
+        self.legs = legs
+        self.runners = [OneLegFlowRunner(net, src, dst, packet_bits, interval,
+                                         t_end, record)
+                        for src, dst, record in legs]
+
+    def start(self):
+        for runner in self.runners:
+            runner.start()
+        return self
+
+
+STREAM_SCENARIOS = dict(RUN_STATE_VARIANTS, services=service_scenario)
+
+
+def stream_run(monkeypatch, scenario, seeds, tmp_path, runner=None):
+    """Export digests of scenario over seeds, then per seed its run state
+    without the event count and its service state, and the events run over
+    all seeds; with runner given, it stands in for FlowRunner."""
+    if runner is not None:
+        monkeypatch.setattr(services, "FlowRunner", runner)
+    digests = export_digests(single_run_result(scenario(), seeds), tmp_path)
+    states, events = [], 0
+    for seed in seeds:
+        sim = Simulation(scenario(), seed)
+        state = run_state(sim)
+        events += state["engine"].pop("events_processed")
+        # the run has ended, so run() again only reports it
+        states.append((state, service_state(sim, sim.run())))
+    monkeypatch.undo()
+    return digests, states, events
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_SCENARIOS))
+def test_stream_fold_leaves_the_run_unchanged(monkeypatch, tmp_path, name):
+    scenario = STREAM_SCENARIOS[name]
+    seeds = [1, 2] if name == "services" else [1]
+    got_digests, got_states, got_events = stream_run(
+        monkeypatch, scenario, seeds, tmp_path)
+    want_digests, want_states, want_events = stream_run(
+        monkeypatch, scenario, seeds, tmp_path, reference_flow_runner)
+    assert got_digests == want_digests
+    assert got_states == want_states
+    assert got_events < want_events
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_legs_of_one_stream_send_alike(seed):
+    report = Simulation(service_scenario(), seed).run()
+    streams = {}
+    for f in report.flows:
+        assert f.delivered <= f.sent, f.flow_id
+        if f.admitted:
+            # callN/fwd and callN/rev are one stream, every bcast/<client>
+            # of the run's one broadcast another, and each video its own
+            stream = f.flow_id if f.kind == "video" else f.flow_id.rsplit("/", 1)[0]
+            streams.setdefault(stream, []).append(f.sent)
+    legs = {stream: len(sent) for stream, sent in streams.items()}
+    assert legs["bcast"] > 2 and legs["call1"] == 2    # the run had many-leg streams
+    assert all(len(set(sent)) == 1 for sent in streams.values()), streams
