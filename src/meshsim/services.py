@@ -582,6 +582,9 @@ class ServiceStack:
         FlowRecords added to flows. legs are (spec, src client, dst client)
         triples whose specs share one rate and packet size."""
         spec = legs[0][0]
+        if any((leg.packet_size, leg.demand) != (spec.packet_size, spec.demand)
+               for leg, _src, _dst in legs):
+            raise ValueError(f"legs of {spec.id} differ in rate or packet size")
         triples = []
         for leg, src_id, dst_id in legs:
             rec = FlowRecord(leg.id, leg.kind, src_id, dst_id,
@@ -610,10 +613,10 @@ class ServiceStack:
             return reserved
         now = self.net.now()
         t_end = now + duration
-        handle = CallHandle(self._runner([(fwd, src_id, dst_id),
-                                          (rev, dst_id, src_id)], t_end),
-                            self.ledger, reserved)
-        self.net.schedule(now, handle.runner.start)
+        runner = self._runner([(fwd, src_id, dst_id), (rev, dst_id, src_id)],
+                              t_end)
+        handle = CallHandle(self.ledger, reserved)
+        self.net.schedule(now, runner.start)
         self.net.schedule(t_end, handle.finish)
         return handle
 
@@ -641,10 +644,9 @@ class ServiceStack:
 
 
 class CallHandle:
-    """The runner of one stream and the reservations that finish releases."""
+    """The reservations of one stream, which finish releases."""
 
-    def __init__(self, runner, ledger, reserved):
-        self.runner = runner
+    def __init__(self, ledger, reserved):
         self.ledger = ledger
         self.reserved = reserved
 
@@ -706,9 +708,8 @@ class VideoRequest:
             return
         self.result = "accepted"
         t_end = stack.net.now() + self.duration
-        runner = stack._runner([(spec, self.src_id, self.dst_id)], t_end).start()
-        stack.net.schedule(t_end, CallHandle(runner, stack.ledger,
-                                             reserved).finish)
+        stack._runner([(spec, self.src_id, self.dst_id)], t_end).start()
+        stack.net.schedule(t_end, CallHandle(stack.ledger, reserved).finish)
 
     def _timeout(self):
         if self.result is None:

@@ -7,7 +7,7 @@ import pytest
 from meshsim import services
 from meshsim.errors import CalleeOffline, DurationExceeded, NoRoute, SenderOffline
 from meshsim.harness import Simulation, single_run_result
-from meshsim.qos import Reject
+from meshsim.qos import FlowSpec, Reject
 from meshsim.scenario import Scenario
 from meshsim.services import Client, Server, ServiceParams, ServiceStack
 
@@ -287,6 +287,14 @@ def test_stream_fold_leaves_the_run_unchanged(monkeypatch, tmp_path, name):
     assert got_digests == want_digests
     assert got_states == want_states
     assert got_events < want_events
+
+
+def test_legs_of_one_runner_share_rate_and_packet_size():
+    _net, _server, stack, _clients = make_stack()
+    fwd = FlowSpec("s/fwd", 0, 1, 64e3, 1280, "voice")
+    rev = FlowSpec("s/rev", 1, 0, 32e3, 1280, "voice")
+    with pytest.raises(ValueError, match="s/fwd"):
+        stack._runner([(fwd, "c0", "c1"), (rev, "c1", "c0")], 5.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -3,18 +3,19 @@
 Usage, from the repository root:
 
     python3 tools/bench_record.py --pr 14 --seeds 1 2 3
-    python3 tools/bench_record.py --pr 14 --workloads voice-dense --seeds 5 --seconds 20
+    python3 tools/bench_record.py --pr 14 --workloads voice-dense --seeds 5
 
 For every workload and seed given, one after the other, this runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
 
 and keeps the last JSON line it prints (the metrics and whether the run was
 correct) with its export sha256 and replica-count sha256 lines. The file it
 writes holds, per workload, each end-to-end metric's median, quartiles and
 interquartile range over the seeds, and per seed the metric values and the
 two digests, so a later tree run on the same seeds can be compared with it
-digest by digest.
+digest by digest. Every run lasts SECONDS, the benchmark's run length, so
+any two of these files compare runs of one length.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("voice-dense", "voice-lossy", "churn-single")
 DIGESTS = {"export sha256 = ": "export_sha256",
            "replica-count sha256 = ": "replica_count_sha256"}
+SECONDS = 40
+COMMAND = ["perfbench/run.py", "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def run_one(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+def run_one(workload: str, seed: int) -> tuple[dict, dict]:
     """One timed benchmark run: its metric values, correctness and digests,
     and the metrics' units."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, *COMMAND, "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           check=True)
     lines = proc.stdout.strip().splitlines()
@@ -64,10 +65,10 @@ def summary(values: list[float]) -> dict:
             "iqr": q3 - q1, "n": len(values)}
 
 
-def record_workload(workload: str, seeds: list[int], seconds: int) -> dict:
+def record_workload(workload: str, seeds: list[int]) -> dict:
     runs, units = {}, {}
     for seed in seeds:
-        runs[seed], units = run_one(workload, seed, seconds)
+        runs[seed], units = run_one(workload, seed)
         print(f"{workload} seed {seed}: {json.dumps(runs[seed]['metrics'])}",
               file=sys.stderr)
     metrics = {name: dict(summary([runs[s]["metrics"][name] for s in seeds]),
@@ -84,19 +85,16 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                    default=list(WORKLOADS))
-    p.add_argument("--seconds", type=int, default=40,
-                   help="--seconds of each perfbench run (default 40)")
     p.add_argument("--out", type=Path, default=None,
                    help="output path (default BENCH_<pr>.json at the root)")
     args = p.parse_args(argv)
     doc = {
         "pr": args.pr,
-        "command": ["python3", "perfbench/run.py", "--seconds",
-                    str(args.seconds), "--trace", "0"],
+        "command": ["python3", *COMMAND],
         "seeds": args.seeds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "workloads": {w: record_workload(w, args.seeds, args.seconds)
+        "workloads": {w: record_workload(w, args.seeds)
                       for w in args.workloads},
     }
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
