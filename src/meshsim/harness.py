@@ -196,35 +196,32 @@ class Simulation:
 
     def _schedule_actions(self):
         for action in self.scenario.actions:
-            self.engine.schedule(float(action["at"]),
-                                 lambda a=action: self._run_action(a))
-
-    def _run_action(self, a):
-        try:
-            self._dispatch_action(a)
-        except (SenderOffline, CalleeOffline, NoRoute):
-            pass          # offline or unreachable: the action never happens
+            self.engine.schedule(action["at"],
+                                 lambda a=action: self._dispatch_action(a))
 
     def _dispatch_action(self, a):
+        """Run one loaded action, which carries every key of its kind."""
         kind = a["kind"]
-        if kind == "sms":
-            self.clients[a["src"]].send_sms(a["dst"], a.get("size"))
-        elif kind == "file":
-            self.clients[a["src"]].send_file(a["dst"], a["size"], a["chunk_size"])
-        elif kind == "call":
-            self.stack.start_call(a["src"], a["dst"],
-                                  a.get("duration", self.scenario.calls.duration))
-        elif kind == "broadcast_audio":
-            self.stack.broadcast_audio(a["duration"])
-        elif kind == "video_request":
-            if "response" in a and a["dst"] in self.clients:
-                self.clients[a["dst"]].video_answer = a["response"]
-            self.stack.request_video(a["src"], a["dst"],
-                                     a.get("duration", 30.0))
-        elif kind == "attach":
-            self.clients[a["client"]].attach(a["node"])
-        elif kind == "outage":
-            self.medium.outage(a["a"], a["b"], a.get("duration", 5.0))
+        try:
+            if kind == "sms":
+                self.clients[a["src"]].send_sms(a["dst"], a["size"])
+            elif kind == "file":
+                self.clients[a["src"]].send_file(a["dst"], a["size"],
+                                                 a["chunk_size"])
+            elif kind == "call":
+                self.stack.start_call(a["src"], a["dst"], a["duration"])
+            elif kind == "broadcast_audio":
+                self.stack.broadcast_audio(a["duration"])
+            elif kind == "video_request":
+                if a["response"] is not None:
+                    self.clients[a["dst"]].video_answer = a["response"]
+                self.stack.request_video(a["src"], a["dst"], a["duration"])
+            elif kind == "attach":
+                self.clients[a["client"]].attach(a["node"])
+            elif kind == "outage":
+                self.medium.outage(a["a"], a["b"], a["duration"])
+        except (SenderOffline, CalleeOffline, NoRoute):
+            pass          # offline or unreachable: the action never happens
 
     # -- execution -----------------------------------------------------------
 

@@ -18,29 +18,48 @@ import typing
 from dataclasses import dataclass
 
 from .engine import MacParams
-from .errors import ParseError, UnknownLink, ValidationError, check_ranges
+from .errors import ParseError, ValidationError, check_ranges
 from .metrics import ElpParams
 from .qos import AdmissionLedger, QosParams
 from .routing import RoutingParams
-from .services import ServiceParams
+from .services import VIDEO_ANSWERS, ServiceParams
 from .topology import NodeSpec, PropagationModel, Topology, build_topology
 
 _TOP_TYPES = {"topology": dict, "protocol": dict, "workload": dict, "run": dict}
 _TOPOLOGY_TYPES = {"nodes": list[NodeSpec], "link_overrides": list,
-                   "link_deletions": list[list[int]], "propagation": PropagationModel}
+                   "link_deletions": list, "propagation": PropagationModel}
 _PROTOCOL_TYPES = {"metric": str, "elp": ElpParams, "routing": dict,
                    "engine": MacParams, "qos": QosParams, "services": ServiceParams}
 _OVERRIDE_TYPES = {"a": int, "b": int, "channel": int, "p": float, "p_fwd": float,
                    "p_rev": float}
 _RUN_TYPES = {"duration": float, "warmup": float, "seeds": list[int]}
-_ACTION_TYPES = {"at": float, "kind": str, "src": str, "dst": str, "client": str,
-                 "node": int, "size": float, "chunk_size": float, "duration": float,
-                 "a": int, "b": int, "response": str}
-# action kind -> keys it needs besides at and kind
-_ACTION_NEEDS = {"sms": ("src", "dst"), "file": ("src", "dst", "size", "chunk_size"),
-                 "call": ("src", "dst"), "broadcast_audio": ("duration",),
-                 "video_request": ("src", "dst"), "attach": ("client", "node"),
-                 "outage": ("a", "b")}
+
+
+def _kind(**keys):
+    """An action kind's (key types, required keys, defaults) from its keys
+    besides at and kind: key=type, or key=(type, default) if optional."""
+    hints = {"at": float, "kind": str}
+    defaults = {}
+    for key, spec in keys.items():
+        if isinstance(spec, tuple):
+            spec, defaults[key] = spec
+        hints[key] = spec
+    return hints, [k for k in hints if k not in defaults], defaults
+
+
+# Each workload action kind and the keys it reads. A call's duration of None
+# is filled in with workload.calls.duration; an sms of size None sends
+# protocol.services.sms_bits.
+_ACTIONS = {
+    "sms": _kind(src=str, dst=str, size=(float, None)),
+    "file": _kind(src=str, dst=str, size=float, chunk_size=float),
+    "call": _kind(src=str, dst=str, duration=(float, None)),
+    "broadcast_audio": _kind(duration=float),
+    "video_request": _kind(src=str, dst=str, duration=(float, 30.0),
+                           response=(str, None)),
+    "attach": _kind(client=str, node=int),
+    "outage": _kind(a=int, b=int, duration=(float, 5.0)),
+}
 
 _BAD = object()
 
@@ -139,11 +158,18 @@ class CallTemplate:
             raise ValueError(f"start must be >= 0, got {self.start!r}")
 
 
+_ANSWERS = f"must be one of {', '.join(VIDEO_ANSWERS)}"
+
+
 @dataclass
 class ClientDef:
     id: str
     attach: int
     video_answer: str = "accept"
+
+    def __post_init__(self):
+        if self.video_answer not in VIDEO_ANSWERS:
+            raise ValueError(f"video_answer {_ANSWERS}, got {self.video_answer!r}")
 
 
 _WORKLOAD_TYPES = {"clients": list[ClientDef], "calls": CallTemplate, "actions": list}
@@ -232,6 +258,18 @@ def _build(raw, name) -> Scenario:
     if nodes_whole and not any(n.is_server for n in nodes):
         problems.append("topology.nodes: no node is a server")
 
+    def check_pair(path, a, b, at=(".a", ".b")):
+        """Whether nodes a and b, found at path + at, are two defined nodes;
+        if not, the problems are recorded."""
+        before = len(problems)
+        if nodes_whole:
+            problems.extend(f"{path}{key}: undefined node {n!r}"
+                            for key, n in zip(at, (a, b)) if n not in node_ids)
+        if a == b:
+            problems.append(f"{path}: names node {a} twice")
+        return len(problems) == before
+
+    linked = []          # (path, a, b, channel), checked on the built topology
     overrides = {}
     for i, ov in enumerate(topo.get("link_overrides", [])):
         path = f"topology.link_overrides[{i}]"
@@ -239,9 +277,16 @@ def _build(raw, name) -> Scenario:
         if "a" not in ov or "b" not in ov:
             continue
         a, b = ov["a"], ov["b"]
+        if check_pair(path, a, b):
+            linked.append((path, a, b, ov.get("channel")))
+        problems.extend(f"{path}.{p}: must be in [0, 1], got {ov[p]!r}"
+                        for p in ("p", "p_fwd", "p_rev") if not 0 <= ov.get(p, 0) <= 1)
         lo, hi = min(a, b), max(a, b)
         key = (lo, hi, ov["channel"]) if "channel" in ov else (lo, hi)
-        if "p" in ov:
+        if "p" in ov and ("p_fwd" in ov or "p_rev" in ov):
+            problems.append(f"{path}: gives p and p_fwd/p_rev; give p, or "
+                            f"p_fwd and p_rev")
+        elif "p" in ov:
             overrides[key] = ov["p"]
         elif "p_fwd" in ov and "p_rev" in ov:
             # p_fwd refers to the a -> b direction; links store low -> high
@@ -250,9 +295,17 @@ def _build(raw, name) -> Scenario:
         else:
             problems.append(f"{path}: needs p, or p_fwd and p_rev")
 
-    deletions = [tuple(d) for d in topo.get("link_deletions", [])]
-    problems.extend(f"topology.link_deletions: {list(d)} is not [a, b] or "
-                    f"[a, b, channel]" for d in deletions if len(d) not in (2, 3))
+    deletions = []
+    for i, d in enumerate(topo.get("link_deletions", [])):
+        path = f"topology.link_deletions[{i}]"
+        before = len(problems)
+        d = _value(d, list[int], path, problems)
+        if len(problems) > before:
+            continue
+        if len(d) not in (2, 3):
+            problems.append(f"{path}: {d} is not [a, b] or [a, b, channel]")
+        elif check_pair(path, d[0], d[1], ("[0]", "[1]")):
+            deletions.append(tuple(d))
 
     # protocol
     metric = proto.get("metric", "elp")
@@ -273,33 +326,44 @@ def _build(raw, name) -> Scenario:
                             f"undefined node {c.attach}")
         client_ids.add(c.id)
 
+    calls = workload.get("calls", CallTemplate())
     actions = []
-    outages = []                      # (path, a, b), checked on the built topology
     for i, a in enumerate(workload.get("actions", [])):
         path = f"workload.actions[{i}]"
-        act = _mapping(a, _ACTION_TYPES, path, problems, required=("at", "kind"))
-        kind = act.get("kind")
-        if kind is not None and kind not in _ACTION_NEEDS:
-            problems.append(f"{path}.kind: unknown kind {kind!r}")
+        if not isinstance(a, dict):
+            problems.append(f"{path}: expected a mapping, got {a!r}")
             continue
-        problems.extend(f"{path}: {kind} needs key {k!r}"
-                        for k in _ACTION_NEEDS.get(kind, ()) if k not in a)
+        kind = a.get("kind")
+        # without a known kind there are no keys to check the rest against;
+        # a kind that is not a str, say a list, cannot even be looked up
+        if not isinstance(kind, str) or kind not in _ACTIONS:
+            problems.append(f"{path}.kind: unknown kind {kind!r}" if "kind" in a
+                            else f"{path}: missing key 'kind'")
+            continue
+        hints, required, defaults = _ACTIONS[kind]
+        act = _mapping(a, hints, path, problems, required)
         for key, value in act.items():
             if key in ("src", "dst", "client"):
                 if clients_whole and value not in client_ids:
                     problems.append(f"{path}.{key}: undefined client {value!r}")
-            elif key in ("node", "a", "b"):
+            elif key == "node":
                 if nodes_whole and value not in node_ids:
                     problems.append(f"{path}.{key}: undefined node {value!r}")
             elif key in ("size", "chunk_size", "duration") and value <= 0:
                 problems.append(f"{path}.{key}: must be > 0, got {value!r}")
+            elif key == "response" and value not in VIDEO_ANSWERS:
+                problems.append(f"{path}.{key}: {_ANSWERS}, got {value!r}")
         limit = services.broadcast_limit
         if kind == "broadcast_audio" and act.get("duration", 0.0) > limit:
             problems.append(f"{path}.duration: over the broadcast limit of {limit} s")
         if act.get("at", 0.0) < 0:
             problems.append(f"{path}.at: must be >= 0, got {act['at']!r}")
-        if kind == "outage" and "a" in act and "b" in act:
-            outages.append((path, act["a"], act["b"]))
+        if (kind == "outage" and "a" in act and "b" in act
+                and check_pair(path, act["a"], act["b"])):
+            linked.append((path, act["a"], act["b"], None))
+        act = {**defaults, **act}
+        if kind == "call" and act["duration"] is None:
+            act["duration"] = calls.duration
         actions.append(act)
 
     duration = run.get("duration", 60.0)
@@ -314,14 +378,12 @@ def _build(raw, name) -> Scenario:
 
     topology = build_topology(nodes, overrides, deletions,
                               topo.get("propagation", PropagationModel()))
-    for path, a, b in outages:
-        try:
-            topology.link_between(a, b)
-        except UnknownLink:
-            problems.append(f"{path}: outage needs a link, none between nodes "
-                            f"{a} and {b}")
+    for path, a, b, channel in linked:
+        if not any(nbr == b and channel in (None, topology.links[idx].channel)
+                   for nbr, idx, _fwd in topology.adjacency[a]):
+            problems.append(f"{path}: needs a link, none between nodes {a} and {b}"
+                            + ("" if channel is None else f" on channel {channel}"))
     mac = proto.get("engine", MacParams())
-    calls = workload.get("calls", CallTemplate())
     if topology.links:
         # a timer that fires faster than one control frame fits on the
         # slowest link stalls the run without simulating anything useful
@@ -342,7 +404,7 @@ def _build(raw, name) -> Scenario:
         # every packet_bits / rate s, faster than its frame fits on the
         # slowest link; a rate no stream uses is left alone. The call
         # template and call actions both stream at voice_rate.
-        kinds = {act.get("kind") for act in actions}
+        kinds = {act["kind"] for act in actions}
         streams = (("voice_rate", services.voice_packet_bits,
                     calls.count or calls.background or "call" in kinds),
                    ("video_rate", services.video_packet_bits,

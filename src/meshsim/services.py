@@ -375,7 +375,7 @@ class Client:
         self.net = net
         self.server = server
         self.params = params
-        self.video_answer = video_answer   # accept | decline | none
+        self.video_answer = video_answer   # one of VIDEO_ANSWERS
         self.inbox: list[Message] = []
         self.receiver_log: set = set()
         self.notifications: list[tuple[str, str, float]] = []
@@ -636,7 +636,7 @@ class ServiceStack:
         runner = self._runner(legs, t_end).start()
         return [record for _src, _dst, record in runner.legs]
 
-    def request_video(self, src_id, dst_id, duration=30.0) -> "VideoRequest":
+    def request_video(self, src_id, dst_id, duration) -> "VideoRequest":
         """Confirm-first video: stream only starts on the receiver's accept."""
         src_node, dst_node = self._endpoints(src_id, dst_id)
         req = VideoRequest(self, src_id, dst_id, duration)
@@ -654,6 +654,10 @@ class CallHandle:
         for fid in self.reserved:
             self.ledger.release(fid)
         self.reserved = []
+
+
+# a client's answer to a video request: accept, decline, or let it time out
+VIDEO_ANSWERS = ("accept", "decline", "none")
 
 
 class VideoRequest:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnknownLink, ValidationError
+from .errors import UnknownLink, ValidationError, check_ranges
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,12 @@ class RadioSpec:
     tx_range: float           # meters
     cs_range: float           # meters, carrier sense >= tx_range
 
+    def __post_init__(self):
+        check_ranges(self, positive=("nominal_rate", "tx_range"))
+        if self.cs_range < self.tx_range:
+            raise ValueError(f"cs_range must be >= tx_range ({self.tx_range!r}), "
+                             f"got {self.cs_range!r}")
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -28,6 +34,12 @@ class NodeSpec:
     position: tuple[float, float]
     radios: tuple[RadioSpec, ...]
     is_server: bool = False
+
+    def __post_init__(self):
+        if not self.radios:
+            raise ValueError("needs at least one radio")
+        if not all(math.isfinite(c) for c in self.position):
+            raise ValueError(f"position must be finite, got {self.position!r}")
 
 
 @dataclass(frozen=True)
@@ -104,23 +116,13 @@ class Topology:
 
 
 def _validate_nodes(nodes):
+    """Node ids must be unique; each node and radio checks its own ranges."""
     problems = []
     seen = set()
     for n in nodes:
         if n.id in seen:
             problems.append(f"duplicate node id {n.id}")
         seen.add(n.id)
-        if not n.radios:
-            problems.append(f"node {n.id}: needs at least one radio")
-        if not all(math.isfinite(c) for c in n.position):
-            problems.append(f"node {n.id}: non-finite position")
-        for r in n.radios:
-            if r.tx_range <= 0:
-                problems.append(f"node {n.id}: tx_range must be > 0")
-            if r.cs_range < r.tx_range:
-                problems.append(f"node {n.id}: cs_range < tx_range on channel {r.channel}")
-            if r.nominal_rate <= 0:
-                problems.append(f"node {n.id}: nominal_rate must be > 0")
     if problems:
         raise ValidationError(problems)
 

@@ -148,6 +148,22 @@ def test_stream_rate_above_floor_is_one_scenario_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("action,path", [
+    ({"kind": "sms", "src": "cA", "dst": "cB", "duration": 5.0},
+     "workload.actions[0].duration: unknown key"),
+    ({"kind": "teleport"}, "workload.actions[0].kind: unknown kind 'teleport'"),
+    ({"kind": ["sms"]}, "workload.actions[0].kind: unknown kind ['sms']"),
+])
+def test_bad_action_is_one_scenario_error(tmp_path, action, path):
+    scn = write_tiny(tmp_path)
+    raw = yaml.safe_load(scn.read_text())
+    raw["workload"]["actions"] = [{"at": 12.0, **action}]
+    scn.write_text(yaml.safe_dump(raw))
+    proc = _cli(["validate", str(scn)])
+    assert proc.returncode == 1
+    assert proc.stderr == f"scenario error: {path}\n"
+
+
 @pytest.mark.parametrize("content", [b"run: \x80\x81\n", b"topology: [unclosed\n",
                                      None], ids=["bad-utf8", "syntax", "directory"])
 def test_unreadable_file_is_one_scenario_error(tmp_path, content):

@@ -153,8 +153,9 @@ def test_broadcast_deliveries_pinned():
 
 
 # Every service kind on one indoor22 run: broadcast audio, an accepted, a
-# declined and a late video, a call action, a re-attach that moves the call's
-# endpoint, an SMS, a file transfer and an outage, on top of calls 3 / bg 2.
+# declined and a late video, a call action, a re-attach of that call's caller
+# while the call runs (the call keeps the nodes it started between), an SMS,
+# a file transfer and an outage, on top of calls 3 / bg 2.
 SERVICE_ACTIONS = [
     {"at": 8.0, "kind": "broadcast_audio", "duration": 20.0},
     {"at": 9.0, "kind": "video_request", "src": "c01", "dst": "c05"},

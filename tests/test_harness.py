@@ -162,8 +162,8 @@ def test_warmup_excluded_from_measurement():
 def test_sms_from_offline_client_is_skipped():
     # bringup registers the clients at t=0.2, so cA is still offline at 0.1
     scn = dataclasses.replace(tiny_scenario(calls=1), actions=[
-        {"at": 0.1, "kind": "sms", "src": "cA", "dst": "cB"},
-        {"at": 12.0, "kind": "sms", "src": "cA", "dst": "cB"}])
+        {"at": 0.1, "kind": "sms", "src": "cA", "dst": "cB", "size": None},
+        {"at": 12.0, "kind": "sms", "src": "cA", "dst": "cB", "size": None}])
     sim = Simulation(scn, seed=1)
     report = sim.run()
     assert report.aggregate()["pdr"] > 0.95

@@ -88,6 +88,152 @@ def test_unknown_action_kind():
         Scenario.from_dict(raw)
 
 
+# Each action kind: the keys it needs, with a valid value on with_action's
+# scenario, and the keys it may leave out, with their defaults. A call's
+# duration defaults to workload.calls.duration, which with_action sets to 12.
+ACTION_KINDS = {
+    "sms": ({"src": "c1", "dst": "c2"}, {"size": None}),
+    "file": ({"src": "c1", "dst": "c2", "size": 8000.0, "chunk_size": 800.0}, {}),
+    "call": ({"src": "c1", "dst": "c2"}, {"duration": 12.0}),
+    "broadcast_audio": ({"duration": 10.0}, {}),
+    "video_request": ({"src": "c1", "dst": "c2"},
+                      {"duration": 30.0, "response": None}),
+    "attach": ({"client": "c1", "node": 0}, {}),
+    "outage": ({"a": 0, "b": 1}, {"duration": 5.0}),
+}
+ACTION_KEYS = {key for needed, optional in ACTION_KINDS.values()
+               for key in (*needed, *optional)}
+
+
+def with_action(**action):
+    """minimal_dict with a second client and the one action given, at 6 s."""
+    raw = minimal_dict()
+    raw["workload"]["clients"].append({"id": "c2", "attach": 0})
+    raw["workload"]["calls"] = {"duration": 12.0}
+    raw["workload"]["actions"] = [{"at": 6.0, **action}]
+    return raw
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind, (needed, optional) in ACTION_KINDS.items()
+    for key in sorted(ACTION_KEYS - set(needed) - set(optional))])
+def test_key_of_another_action_kind_is_unknown(kind, key):
+    raw = with_action(kind=kind, **ACTION_KINDS[kind][0], **{key: 1.0})
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == [f"workload.actions[0].{key}: unknown key"]
+
+
+@pytest.mark.parametrize("kind", ACTION_KINDS)
+def test_loaded_action_carries_every_key_of_its_kind(kind):
+    needed, optional = ACTION_KINDS[kind]
+    scn = Scenario.from_dict(with_action(kind=kind, **needed))
+    assert scn.actions == [{"at": 6.0, "kind": kind, **needed, **optional}]
+    # a key given keeps its value
+    given = {key: {"size": 400.0, "duration": 3.0, "response": "decline"}[key]
+             for key in optional}
+    scn = Scenario.from_dict(with_action(kind=kind, **needed, **given))
+    assert scn.actions == [{"at": 6.0, "kind": kind, **needed, **given}]
+
+
+@pytest.mark.parametrize("action,problem", [
+    ({"kind": "teleport"}, "workload.actions[0].kind: unknown kind 'teleport'"),
+    ({"kind": ["sms"], "src": "c1"}, "workload.actions[0].kind: unknown kind ['sms']"),
+    ({"kind": 3, "node": 0}, "workload.actions[0].kind: unknown kind 3"),
+    ({"src": "c1", "dst": "c2"}, "workload.actions[0]: missing key 'kind'"),
+    ({"kind": "sms", "src": "c1"}, "workload.actions[0]: missing key 'dst'"),
+    ({"kind": "video_request", "src": "c1", "dst": "c2", "response": "maybe"},
+     "workload.actions[0].response: must be one of accept, decline, none, "
+     "got 'maybe'"),
+])
+def test_bad_action_is_one_problem(action, problem):
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(with_action(**action))
+    assert exc.value.problems == [problem]
+
+
+def outdoor7():
+    with open(preset_path("outdoor7")) as fh:
+        return yaml.safe_load(fh)
+
+
+def test_video_answer_must_be_known():
+    raw = outdoor7()
+    raw["workload"]["clients"][2]["video_answer"] = "acept"
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == [
+        "workload.clients[2]: video_answer must be one of accept, decline, none, "
+        "got 'acept'"]
+    for answer in ("accept", "decline", "none"):
+        raw["workload"]["clients"][2]["video_answer"] = answer
+        assert Scenario.from_dict(raw).clients[2].video_answer == answer
+
+
+@pytest.mark.parametrize("radio,problem", [
+    ({"cs_range": 1.0}, "cs_range must be >= tx_range"),
+    ({"tx_range": 0.0}, "tx_range must be > 0, got 0.0"),
+    ({"nominal_rate": -1.0}, "nominal_rate must be > 0, got -1.0"),
+])
+def test_radio_range_is_reported_with_its_path_at_once(radio, problem):
+    raw = outdoor7()
+    raw["topology"]["nodes"][2]["radios"][0].update(radio)
+    raw["run"]["warmupp"] = 1.0
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems[0].startswith(f"topology.nodes[2].radios[0]: {problem}")
+    assert exc.value.problems[1:] == ["run.warmupp: unknown key"]
+
+
+def test_node_without_radios_is_reported_with_its_path():
+    raw = outdoor7()
+    raw["topology"]["nodes"][2]["radios"] = []
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == ["topology.nodes[2]: needs at least one radio"]
+
+
+# outdoor7 links 0-5 and 2-6, among others; 0 and 6 are not linked
+@pytest.mark.parametrize("section,item,problem", [
+    ("link_overrides", {"a": 0, "b": 9, "p": 0.5},
+     "topology.link_overrides[1].b: undefined node 9"),
+    ("link_overrides", {"a": 3, "b": 3, "p": 0.5},
+     "topology.link_overrides[1]: names node 3 twice"),
+    ("link_overrides", {"a": 0, "b": 5, "p": 0.5, "p_fwd": 0.4},
+     "topology.link_overrides[1]: gives p and p_fwd/p_rev; give p, or p_fwd "
+     "and p_rev"),
+    ("link_overrides", {"a": 0, "b": 6, "p": 0.5},
+     "topology.link_overrides[1]: needs a link, none between nodes 0 and 6"),
+    ("link_overrides", {"a": 0, "b": 5, "p_fwd": 0.5, "p_rev": 1.5},
+     "topology.link_overrides[1].p_rev: must be in [0, 1], got 1.5"),
+    ("link_overrides", {"a": 0, "b": 5, "channel": 11, "p": 0.5},
+     "topology.link_overrides[1]: needs a link, none between nodes 0 and 5 "
+     "on channel 11"),
+    ("link_deletions", [9, 0], "topology.link_deletions[1][0]: undefined node 9"),
+    ("link_deletions", [4, 4, 1], "topology.link_deletions[1]: names node 4 twice"),
+    ("link_deletions", [4], "topology.link_deletions[1]: [4] is not [a, b] or "
+     "[a, b, channel]"),
+    ("link_deletions", [4, "x"], "topology.link_deletions[1][1]: expected int, "
+     "got 'x'"),
+])
+def test_bad_link_override_or_deletion_names_its_path(section, item, problem):
+    raw = outdoor7()
+    raw["topology"].setdefault(section, [[1, 2]])[1:] = [item]
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == [problem]
+
+
+def test_link_override_skips_node_checks_when_nodes_are_bad():
+    raw = outdoor7()
+    raw["topology"]["nodes"][0]["radios"][0]["role"] = "backbone"
+    raw["topology"]["link_overrides"].append({"a": 0, "b": 9, "p": 0.5})
+    raw["topology"]["link_deletions"] = [[9, 1]]
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == ["topology.nodes[0].radios[0].role: unknown key"]
+
+
 def test_duplicate_node_id_rejected():
     raw = minimal_dict()
     raw["topology"]["nodes"][1]["id"] = 0

@@ -1,4 +1,5 @@
-"""Fuzz the scenario loader with mutated copies of the outdoor7 preset.
+"""Fuzz the scenario loader with mutated copies of the outdoor7 preset,
+given one workload action of each kind.
 
 Each example applies a few edits to the preset document: a value replaced
 by one from a palette of wrong types and edge values, a key or list item
@@ -23,6 +24,20 @@ with open(preset_path("outdoor7")) as fh:
 # calls start when the warmup ends: end it inside the two seconds, so that
 # accepted examples run streams as well as routing start-up
 PRESET["run"]["warmup"] = 0.5
+# one action of each kind inside the two seconds, so that mutations reach
+# action keys; the streams stay on node 0, where c01, c08 and the server
+# sit, so they start before any route exists
+PRESET["workload"]["actions"] = [
+    {"at": 0.6, "kind": "sms", "src": "c01", "dst": "c08"},
+    {"at": 0.7, "kind": "file", "src": "c08", "dst": "c01", "size": 16000.0,
+     "chunk_size": 8000.0},
+    {"at": 0.8, "kind": "call", "src": "c01", "dst": "c08", "duration": 1.0},
+    {"at": 0.9, "kind": "broadcast_audio", "duration": 1.0},
+    {"at": 1.0, "kind": "video_request", "src": "c08", "dst": "c01",
+     "duration": 0.5, "response": "accept"},
+    {"at": 1.2, "kind": "attach", "client": "c02", "node": 0},
+    {"at": 1.4, "kind": "outage", "a": 0, "b": 5, "duration": 0.5},
+]
 
 
 def _paths(node, prefix=()):
@@ -42,7 +57,7 @@ PATHS = list(_paths(PRESET))
 VALUES = [None, True, False, 0, 1, -1, 3, 100, 0.0, 1e-9, 1e-6, 0.5, -0.5, 2.5, 1e3,
           float("nan"), float("inf"), "", "x", "elp", [], [1, 2], {}, {"x": 1}]
 KEYS = ["x", "metric", "header_bits", "b_max", "count", "duration", "p", "id",
-        "radios", "actions"]
+        "radios", "actions", "response", "node"]
 
 mutation = st.tuples(st.sampled_from(PATHS),
                      st.sampled_from(["replace", "delete", "add"]),

@@ -148,7 +148,7 @@ def test_video_accept_starts_stream():
 def test_video_decline_creates_no_flow():
     net, _server, stack, clients = make_stack()
     clients[1].video_answer = "decline"
-    req = stack.request_video("c0", "c1")
+    req = stack.request_video("c0", "c1", duration=30.0)
     net.run(20.0)
     assert req.result == "declined"
     assert [f for f in stack.flows if f.kind == "video"] == []
@@ -157,7 +157,7 @@ def test_video_decline_creates_no_flow():
 def test_video_no_answer_times_out():
     net, _server, stack, clients = make_stack()
     clients[1].video_answer = "none"
-    req = stack.request_video("c0", "c1")
+    req = stack.request_video("c0", "c1", duration=30.0)
     net.run(9.9)
     assert req.result is None
     net.run(10.1)

@@ -62,9 +62,8 @@ def test_duplicate_node_id_rejected():
 
 
 def test_cs_range_below_tx_range_rejected():
-    r = RadioSpec(1, 12e6, 40.0, 20.0)
-    with pytest.raises(ValidationError, match="cs_range"):
-        build_topology([NodeSpec(0, (0.0, 0.0), (r,))])
+    with pytest.raises(ValueError, match="cs_range"):
+        RadioSpec(1, 12e6, 40.0, 20.0)
 
 
 def test_override_sets_asymmetric_probabilities():
