@@ -213,9 +213,8 @@ class Simulation:
             elif kind == "broadcast_audio":
                 self.stack.broadcast_audio(a["duration"])
             elif kind == "video_request":
-                if a["response"] is not None:
-                    self.clients[a["dst"]].video_answer = a["response"]
-                self.stack.request_video(a["src"], a["dst"], a["duration"])
+                self.stack.request_video(a["src"], a["dst"], a["duration"],
+                                         a["response"])
             elif kind == "attach":
                 self.clients[a["client"]].attach(a["node"])
             elif kind == "outage":

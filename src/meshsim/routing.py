@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 
 from . import metrics
@@ -104,11 +105,6 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
     return table
 
 
-def _bind(route: Route, nl: "NeighborLink"):
-    """Point route at the neighbour link its first hop uses."""
-    route.link_idx, route.forward, route.nl = nl.link_idx, nl.forward, nl
-
-
 def maybe_switch_route(current: Route | None, candidate: Route | None,
                        h: float) -> bool:
     """True if the candidate should replace the incumbent route."""
@@ -179,22 +175,19 @@ class Router:
 
     def _hello_tick(self):
         now = self.engine.now
-        p = self.params
         alpha = self.elp.ewma_alpha
-        for nbr_id in list(self.neighbors):
-            for nl in list(self.neighbors[nbr_id].values()):
+        for links in self.neighbors.values():
+            for nl in links.values():
                 x = 1.0 if nl.heard_since_tick else 0.0
                 nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
                 nl.heard_since_tick = False
         self._expire_neighbors(now)
         self.emit_hello(now)
-        self.engine.schedule(now + p.hello_interval, self._hello_tick)
+        self.engine.schedule(now + self.params.hello_interval, self._hello_tick)
 
     def emit_hello(self, t):
-        ratios = {}
-        for nbr_id, links in self.neighbors.items():
-            for li, nl in links.items():
-                ratios[li] = nl.d_r            # measured neighbor -> us
+        ratios = {li: nl.d_r                   # measured neighbor -> us
+                  for links in self.neighbors.values() for li, nl in links.items()}
         msg = {"type": "hello", "origin": self.node_id, "ratios": ratios}
         peers = self.peers
         self.medium.broadcast(self.node_id, self.params.control_bits,
@@ -225,17 +218,18 @@ class Router:
     def _expire_neighbors(self, now):
         p = self.params
         hold = p.hold_multiplier * p.hello_interval
-        for nbr_id in list(self.neighbors):
-            for li, nl in list(self.neighbors[nbr_id].items()):
-                if nl.last_heard < 0 or now - nl.last_heard <= hold:
-                    continue
-                if now < nl.suppressed_until:
-                    continue                   # held by the maintainer
-                if (p.maintenance and nl.long_term_score >= p.long_term_threshold
-                        and self._suppression_allowed(nl, now)):
-                    self._suppress(nbr_id, nl, now, "missed hellos")
-                else:
-                    self._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
+        # a link's action touches only its own record, so the silent links
+        # not held by the maintainer can be listed before any is acted on
+        silent = [(nbr_id, li, nl) for nbr_id, links in self.neighbors.items()
+                  for li, nl in links.items()
+                  if nl.last_heard >= 0 and now - nl.last_heard > hold
+                  and now >= nl.suppressed_until]
+        for nbr_id, li, nl in silent:
+            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
+                    and self._suppression_allowed(nl, now)):
+                self._suppress(nbr_id, nl, now, "missed hellos")
+            else:
+                self._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
 
     def _drop_neighbor_link(self, nbr_id, link_idx, now, reason):
         del self.neighbors[nbr_id][link_idx]
@@ -248,12 +242,6 @@ class Router:
 
     # -- link costs ------------------------------------------------------
 
-    def _link_cost(self, nl: NeighborLink) -> float | None:
-        if self.params.metric == "hop_count":
-            return 1.0
-        busy = self.medium.busy_fraction(nl.link_idx)
-        return metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, self.elp)
-
     #: routing-time cost multiplier for suppressed links: alternatives win,
     #: but a cut link keeps carrying traffic rather than blackholing
     SUPPRESS_PENALTY = 4.0
@@ -263,22 +251,36 @@ class Router:
 
         With advertise=True, suppressed links stay in at plain cost so the
         maintainer never leaks a topology change; for route computation
-        they carry a penalty instead.
+        they carry a penalty instead. A link's cost is 1 under hop_count,
+        else metrics.elp_link of its ratios and its busy fraction.
         """
         p = self.params
         hold = p.hold_multiplier * p.hello_interval
+        hop_count, elp = p.metric == "hop_count", self.elp
+        medium = self.medium
+        # busy_fraction's cache check, inlined as in Medium.transmit
+        busy_t, busy_cache, t_busy = (medium._busy_cache_t, medium._busy_cache,
+                                      medium.engine.now)
+        neighbors = self.neighbors
         out = {}
-        for nbr_id, links in sorted(self.neighbors.items()):
+        for nbr_id in sorted(neighbors):
+            links = neighbors[nbr_id]
             best = None
-            for _li, nl in sorted(links.items()):
+            for nl in (links.values() if len(links) == 1
+                       else map(links.__getitem__, sorted(links))):
                 suppressed = now < nl.suppressed_until
-                alive = (nl.reported and nl.last_heard >= 0
-                         and now - nl.last_heard <= hold)
-                if not alive and not suppressed:
-                    continue
-                cost = self._link_cost(nl)
-                if cost is None:
-                    continue
+                if not suppressed and not (nl.reported and nl.last_heard >= 0
+                                           and now - nl.last_heard <= hold):
+                    continue                   # neither alive nor held
+                if hop_count:
+                    cost = 1.0
+                else:
+                    li = nl.link_idx
+                    busy = (busy_cache[li] if t_busy - busy_t[li] < 0.05
+                            else medium.busy_fraction(li))
+                    cost = metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, elp)
+                    if cost is None:
+                        continue
                 if suppressed and not advertise:
                     cost *= self.SUPPRESS_PENALTY
                 if best is None or cost < best[0]:
@@ -290,21 +292,17 @@ class Router:
     # -- TC / HNA flooding ----------------------------------------------
 
     def _tc_tick(self):
-        now = self.engine.now
         self.flood_tc(reason="periodic")
         if self.is_server:
-            self.flood_hna()
-        self.engine.schedule(now + self.params.tc_interval, self._tc_tick)
+            self._originate("hna")
+        self.engine.schedule(self.engine.now + self.params.tc_interval,
+                             self._tc_tick)
 
     def flood_tc(self, reason="periodic"):
-        now = self.engine.now
         links = {nbr: cost for nbr, (cost, _nl)
-                 in self._local_links(now, advertise=True).items()}
+                 in self._local_links(self.engine.now, advertise=True).items()}
         self.log("tc_flood", reason)
         self._originate("tc", links=links)
-
-    def flood_hna(self):
-        self._originate("hna")
 
     def _originate(self, kind, **body):
         self._seq[kind] += 1
@@ -313,45 +311,17 @@ class Router:
 
     def _broadcast_ctrl(self, msg):
         """Send a flood copy, scheduled only for the neighbours that take it."""
-        kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], self.peers
+        peers = self.peers
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
             lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
-            lambda nbr, t_arrive: peers[nbr].takes(kind, origin, seq, t_arrive))
-
-    def _stale(self, kind, origin, seq) -> bool:
-        return origin == self.node_id or seq <= self.seqs[kind].get(origin, 0)
-
-    def takes(self, kind, origin, seq, t_arrive) -> bool:
-        """Whether a flood copy sent now to reach us at t_arrive is taken.
-
-        We drop a copy on arrival if we are its origin or already hold its
-        seq or a newer one. An originator's seq only grows from 1 and held
-        seqs are never removed, so that is already certain when the copy is
-        sent. It is just as certain when a copy of this seq or a newer one
-        is already scheduled to reach us no later: a scheduled arrival is
-        never cancelled, and on a tie in time the copy scheduled first pops
-        first. in_flight records the best such copy; every copy taken here
-        is scheduled, and receive_control takes it when it lands.
-        """
-        if origin == self.node_id or seq <= self.seqs[kind].get(origin, 0):
-            return False                       # _stale, inlined
-        flight = self.in_flight[kind]
-        best = flight.get(origin)
-        if best is not None:
-            best_seq, best_t = best
-            if best_seq >= seq and best_t <= t_arrive:
-                return False                   # beaten in flight
-            if best_seq > seq:
-                return True                    # earlier but older: keep best
-        flight[origin] = (seq, t_arrive)
-        return True
+            partial(takes_copy, peers, msg["type"], msg["origin"], msg["seq"]))
 
     def receive_control(self, msg, t):
         """Take a TC or HNA flood newer than what we hold; re-flood it once."""
         kind, origin, seq = msg["type"], msg["origin"], msg["seq"]
-        if self._stale(kind, origin, seq):
-            return
+        if origin == self.node_id or seq <= self.seqs[kind].get(origin, 0):
+            return                             # our own, or not newer
         self.seqs[kind][origin] = seq
         if kind == "tc":
             expires = t + self.params.hold_multiplier * self.params.tc_interval
@@ -362,12 +332,8 @@ class Router:
     # -- route computation ----------------------------------------------
 
     def _graph(self, now, local) -> dict[int, dict[int, float]]:
-        graph: dict[int, dict[int, float]] = {}
-        for origin in sorted(self.db):
-            entry = self.db[origin]
-            if entry["expires"] < now:
-                continue
-            graph[origin] = entry["links"]
+        db = self.db
+        graph = {o: db[o]["links"] for o in sorted(db) if db[o]["expires"] >= now}
         graph[self.node_id] = {nbr: cost for nbr, (cost, _nl) in local.items()}
         return graph
 
@@ -383,17 +349,22 @@ class Router:
         local = self._local_links(now)
         graph = self._graph(now, local)
         fresh = compute_routes(graph, self.node_id)
-        table = {}
+        old, table = self.table, {}
         h = self.params.hysteresis
-        for dest in fresh:
-            cand = fresh[dest]
-            # every path starts with an edge of graph[self.node_id], built from local
-            _bind(cand, local[cand.next_hop][1])
-            cur = self.table.get(dest)
-            cur_valid = (cur is not None and cur.next_hop in local
-                         and now >= cur.nl.suppressed_until)
+        for dest, cand in fresh.items():
+            # bind cand to its first hop's link; graph[self.node_id] is local's
+            nl = local[cand.next_hop][1]
+            cand.link_idx, cand.forward, cand.nl = nl.link_idx, nl.forward, nl
+            table[dest] = cand
+            cur = old.get(dest)
+            if cur is None:
+                continue
+            # the incumbent stays valid while its first link is not suppressed
+            # and every hop of its path is an edge of graph, as cand's hops are
+            cur_valid = now >= cur.nl.suppressed_until
+            if cur_valid and cand.path == cur.path:
+                continue
             if cur_valid:
-                # every hop of the incumbent's path is still an edge of graph
                 path = cur.path
                 prev = path[0]
                 for hop in path[1:]:
@@ -402,19 +373,15 @@ class Router:
                         break
                     prev = hop
             if not cur_valid:
-                if cur is not None:
-                    self.log("route_switch", f"dest={dest} invalidated")
-                table[dest] = cand
-            elif cand.path == cur.path:
-                table[dest] = cand
+                self.log("route_switch", f"dest={dest} invalidated")
             elif maybe_switch_route(cur, cand, h):
                 self.log("route_switch", f"dest={dest} {cur.path}->{cand.path}")
-                table[dest] = cand
             else:
                 # keep the incumbent; refresh its next-hop link binding
-                _bind(cur, local[cur.next_hop][1])
+                nl = local[cur.next_hop][1]
+                cur.link_idx, cur.forward, cur.nl = nl.link_idx, nl.forward, nl
                 table[dest] = cur
-        for dest, cur in self.table.items():
+        for dest in old:
             if dest not in table:
                 self.log("route_switch", f"dest={dest} lost")
         self.table = table
@@ -486,6 +453,34 @@ class Router:
             self._suppress(neighbor, nl, t, "tx failure burst")
         else:
             self._drop_neighbor_link(neighbor, link_idx, t, "tx_failure")
+
+
+def takes_copy(peers, kind, origin, seq, nbr, t_arrive) -> bool:
+    """Whether router peers[nbr] takes a flood copy sent now to reach it at
+    t_arrive.
+
+    It drops a copy on arrival if it is the copy's origin or already holds
+    its seq or a newer one. An originator's seq only grows from 1 and held
+    seqs are never removed, so that is already certain when the copy is
+    sent. It is just as certain when a copy of this seq or a newer one is
+    already scheduled to reach it no later: a scheduled arrival is never
+    cancelled, and on a tie in time the copy scheduled first pops first.
+    in_flight records the best such copy; every copy taken here is
+    scheduled, and receive_control takes it when it lands.
+    """
+    rt = peers[nbr]                            # the router of node nbr
+    if origin == nbr or seq <= rt.seqs[kind].get(origin, 0):
+        return False
+    flight = rt.in_flight[kind]
+    best = flight.get(origin)
+    if best is not None:
+        best_seq, best_t = best
+        if best_seq >= seq and best_t <= t_arrive:
+            return False                       # beaten in flight
+        if best_seq > seq:
+            return True                        # earlier but older: keep best
+    flight[origin] = (seq, t_arrive)
+    return True
 
 
 def wire_network(routers: dict[int, Router], medium):

@@ -636,10 +636,11 @@ class ServiceStack:
         runner = self._runner(legs, t_end).start()
         return [record for _src, _dst, record in runner.legs]
 
-    def request_video(self, src_id, dst_id, duration) -> "VideoRequest":
-        """Confirm-first video: stream only starts on the receiver's accept."""
+    def request_video(self, src_id, dst_id, duration, response=None) -> "VideoRequest":
+        """Confirm-first video: stream only starts on the receiver's accept.
+        response, if given, answers this request instead of video_answer."""
         src_node, dst_node = self._endpoints(src_id, dst_id)
-        req = VideoRequest(self, src_id, dst_id, duration)
+        req = VideoRequest(self, src_id, dst_id, duration, response)
         return req.start(src_node, dst_node)
 
 
@@ -661,11 +662,12 @@ VIDEO_ANSWERS = ("accept", "decline", "none")
 
 
 class VideoRequest:
-    def __init__(self, stack: ServiceStack, src_id, dst_id, duration):
+    def __init__(self, stack: ServiceStack, src_id, dst_id, duration, response=None):
         self.stack = stack
         self.src_id = src_id
         self.dst_id = dst_id
         self.duration = duration
+        self.response = response      # this request's answer, if given
         self.result = None            # accepted | declined | rejected | timeout
 
     def start(self, src_node, dst_node):
@@ -674,7 +676,7 @@ class VideoRequest:
         dst_client = self.stack.server.clients.get(self.dst_id)
 
         def answer(t):
-            policy = dst_client.video_answer if dst_client else "none"
+            policy = self.response or (dst_client.video_answer if dst_client else "none")
             if policy == "none":
                 return
             net.schedule(t + p.video_answer_delay, lambda: net.send(

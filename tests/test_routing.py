@@ -5,14 +5,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from meshsim import preset_path
+from meshsim import metrics, preset_path
 from meshsim.engine import Medium, rng_stream
 from meshsim.harness import Simulation
-from meshsim.routing import Route, Router, compute_routes, maybe_switch_route
+from meshsim.routing import (Route, Router, compute_routes, maybe_switch_route,
+                             takes_copy)
 from meshsim.scenario import Scenario
 
 from conftest import make_net
-from runstate import RUN_STATE_VARIANTS, run_state
+from runstate import RUN_STATE_VARIANTS, run_state, run_state_raw
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -467,16 +468,19 @@ def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
 def test_takes_keeps_the_newest_copy_in_flight():
     router = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0).routers[0]
     flight = router.in_flight["tc"]
-    assert router.takes("tc", 7, 5, 6.0)
+
+    def takes(kind, origin, seq, t_arrive):    # a copy sent to node 0
+        return takes_copy(router.peers, kind, origin, seq, 0, t_arrive)
+    assert takes("tc", 7, 5, 6.0)
     assert flight[7] == (5, 6.0)
-    assert router.takes("tc", 7, 4, 5.0)   # earlier but older: still lands first
+    assert takes("tc", 7, 4, 5.0)          # earlier but older: still lands first
     assert flight[7] == (5, 6.0)           # and the newer copy stays the best
-    assert not router.takes("tc", 7, 4, 7.0)   # beaten in flight
-    assert not router.takes("tc", 7, 5, 6.0)   # a tie in time pops the first
-    assert router.takes("tc", 7, 6, 8.0)   # a newer seq always lands
+    assert not takes("tc", 7, 4, 7.0)      # beaten in flight
+    assert not takes("tc", 7, 5, 6.0)      # a tie in time pops the first
+    assert takes("tc", 7, 6, 8.0)          # a newer seq always lands
     assert flight[7] == (6, 8.0)
     assert router.in_flight["hna"] == {}   # kinds are kept apart
-    assert not router.takes("tc", 0, 99, 6.0)  # our own flood
+    assert not takes("tc", 0, 99, 6.0)     # our own flood
 
 
 def reference_wanted(router, msg):
@@ -586,3 +590,189 @@ def test_broadcast_batching_leaves_the_run_unchanged(monkeypatch, variant):
     assert got_hellos == want_hellos       # same HELLOs heard, in the same order
     assert got_state == want_state
     assert got_events < want_events
+
+
+# -- control plane with fewer frames ----------------------------------------
+
+def reference_link_cost(router, nl):
+    """Router._link_cost as it was before link costs were computed inline
+    in _local_links, kept with the three references below as the oracle."""
+    if router.params.metric == "hop_count":
+        return 1.0
+    busy = router.medium.busy_fraction(nl.link_idx)
+    return metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, router.elp)
+
+
+def reference_local_links(router, now, advertise=False):
+    p = router.params
+    hold = p.hold_multiplier * p.hello_interval
+    out = {}
+    for nbr_id, links in sorted(router.neighbors.items()):
+        best = None
+        for _li, nl in sorted(links.items()):
+            suppressed = now < nl.suppressed_until
+            alive = (nl.reported and nl.last_heard >= 0
+                     and now - nl.last_heard <= hold)
+            if not alive and not suppressed:
+                continue
+            cost = reference_link_cost(router, nl)
+            if cost is None:
+                continue
+            if suppressed and not advertise:
+                cost *= router.SUPPRESS_PENALTY
+            if best is None or cost < best[0]:
+                best = (cost, nl)
+        if best is not None:
+            out[nbr_id] = best
+    return out
+
+
+def reference_graph(router, now, local):
+    graph = {}
+    for origin in sorted(router.db):
+        entry = router.db[origin]
+        if entry["expires"] < now:
+            continue
+        graph[origin] = entry["links"]
+    graph[router.node_id] = {nbr: cost for nbr, (cost, _nl) in local.items()}
+    return graph
+
+
+def reference_bind(route, nl):
+    route.link_idx, route.forward, route.nl = nl.link_idx, nl.forward, nl
+
+
+def reference_recompute(router, now):
+    router.dirty = False
+    local = router._local_links(now)
+    graph = reference_graph(router, now, local)
+    fresh = compute_routes(graph, router.node_id)
+    table = {}
+    h = router.params.hysteresis
+    for dest in fresh:
+        cand = fresh[dest]
+        reference_bind(cand, local[cand.next_hop][1])
+        cur = router.table.get(dest)
+        cur_valid = (cur is not None and cur.next_hop in local
+                     and now >= cur.nl.suppressed_until)
+        if cur_valid:
+            path = cur.path
+            prev = path[0]
+            for hop in path[1:]:
+                if hop not in graph.get(prev, {}):
+                    cur_valid = False
+                    break
+                prev = hop
+        if not cur_valid:
+            if cur is not None:
+                router.log("route_switch", f"dest={dest} invalidated")
+            table[dest] = cand
+        elif cand.path == cur.path:
+            table[dest] = cand
+        elif maybe_switch_route(cur, cand, h):
+            router.log("route_switch", f"dest={dest} {cur.path}->{cand.path}")
+            table[dest] = cand
+        else:
+            reference_bind(cur, local[cur.next_hop][1])
+            table[dest] = cur
+    for dest, cur in router.table.items():
+        if dest not in table:
+            router.log("route_switch", f"dest={dest} lost")
+    router.table = table
+
+
+def reference_takes(router, kind, origin, seq, t_arrive):
+    if origin == router.node_id or seq <= router.seqs[kind].get(origin, 0):
+        return False
+    flight = router.in_flight[kind]
+    best = flight.get(origin)
+    if best is not None:
+        best_seq, best_t = best
+        if best_seq >= seq and best_t <= t_arrive:
+            return False
+        if best_seq > seq:
+            return True
+    flight[origin] = (seq, t_arrive)
+    return True
+
+
+def reference_takes_broadcast_ctrl(router, msg):
+    """The flood check as a lambda calling the receiver's takes method."""
+    kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], router.peers
+    router.medium.broadcast(
+        router.node_id, router.params.control_bits,
+        lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
+        lambda nbr, t_arrive: reference_takes(peers[nbr], kind, origin, seq,
+                                              t_arrive))
+
+
+def reference_expire_neighbors(router, now):
+    """_expire_neighbors as it was before it listed the silent links first:
+    it walks a copy of every neighbour's links."""
+    p = router.params
+    hold = p.hold_multiplier * p.hello_interval
+    for nbr_id in list(router.neighbors):
+        for li, nl in list(router.neighbors[nbr_id].items()):
+            if nl.last_heard < 0 or now - nl.last_heard <= hold:
+                continue
+            if now < nl.suppressed_until:
+                continue
+            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
+                    and router._suppression_allowed(nl, now)):
+                router._suppress(nbr_id, nl, now, "missed hellos")
+            else:
+                router._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
+
+
+def hop_count_scenario():
+    raw = run_state_raw()
+    raw["protocol"]["metric"] = "hop_count"
+    return Scenario.from_dict(raw, "indoor22-run-state-hop-count")
+
+
+CONTROL_PLANE_VARIANTS = {**RUN_STATE_VARIANTS,
+                          "churn-maintained": partial(churn_scenario, True),
+                          "churn-unmaintained": partial(churn_scenario, False),
+                          "hop-count": hop_count_scenario}
+
+
+def control_plane_run(monkeypatch, scn, reference):
+    """One seed-1 run of scn, with the reference control plane or today's:
+    every router's table at each _recompute exit, whether some neighbour
+    then had two links, every router's in_flight and the run state."""
+    tables, two_links = [], [False]
+    recompute = reference_recompute if reference else Router._recompute
+
+    def logged(router, now):
+        recompute(router, now)
+        nbrs = router.neighbors
+        tables.append((router.engine.now, router.node_id, [
+            (d, r.next_hop, r.path_cost, r.path, r.link_idx, r.forward,
+             r.nl is nbrs.get(r.next_hop, {}).get(r.link_idx))
+            for d, r in router.table.items()]))
+        two_links[0] = two_links[0] or any(len(ls) > 1 for ls in nbrs.values())
+    monkeypatch.setattr(Router, "_recompute", logged)
+    if reference:
+        monkeypatch.setattr(Router, "_local_links", reference_local_links)
+        monkeypatch.setattr(Router, "_broadcast_ctrl", reference_takes_broadcast_ctrl)
+        monkeypatch.setattr(Router, "_expire_neighbors", reference_expire_neighbors)
+    sim = Simulation(scn, 1)
+    state = run_state(sim)
+    monkeypatch.undo()
+    flights = {nid: r.in_flight for nid, r in sim.routers.items()}
+    return tables, two_links[0], flights, state
+
+
+@pytest.mark.parametrize("variant", sorted(CONTROL_PLANE_VARIANTS))
+def test_control_plane_matches_reference(monkeypatch, variant):
+    scenario = CONTROL_PLANE_VARIANTS[variant]
+    got = control_plane_run(monkeypatch, scenario(), reference=False)
+    want = control_plane_run(monkeypatch, scenario(), reference=True)
+    tables, two_links, flights, state = got
+    assert tables == want[0]               # same table at every recompute exit
+    assert all(bound for (_t, _n, rows) in tables for *_, bound in rows)
+    assert flights == want[2]
+    assert state == want[3]                # router logs (t, kind, info) too
+    assert two_links                       # both branches of _local_links ran
+    assert any(kind == "route_switch" for r in state["routers"].values()
+               for (_t, kind, _info) in r["events"])

@@ -3,8 +3,9 @@
 from functools import partial
 
 import pytest
+import yaml
 
-from meshsim import services
+from meshsim import preset_path, services
 from meshsim.errors import CalleeOffline, DurationExceeded, NoRoute, SenderOffline
 from meshsim.harness import Simulation, single_run_result
 from meshsim.qos import FlowSpec, Reject
@@ -192,6 +193,29 @@ def test_second_video_on_a_live_pair_is_rejected():
     log = [(k, fid) for (k, fid, _x) in report.admission_log]
     assert log == [("admit", "video/c1/c2"), ("release", "video/c1/c2")]
     assert sim.ledger.flows == {}
+
+
+def test_a_request_response_answers_that_request_alone(monkeypatch):
+    # c04 declines videos; the first request carries its own accept, which
+    # must not become c04's answer to the second request
+    with open(preset_path("indoor22")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["workload"]["clients"][3]["video_answer"] = "decline"
+    raw["workload"]["actions"] = [
+        {"at": 9.0, "kind": "video_request", "src": "c01", "dst": "c04",
+         "response": "accept"},
+        {"at": 20.0, "kind": "video_request", "src": "c02", "dst": "c04"}]
+    requests, request_video = [], ServiceStack.request_video
+
+    def logged(stack, *args):
+        requests.append(request_video(stack, *args))
+        return requests[-1]
+    monkeypatch.setattr(ServiceStack, "request_video", logged)
+    sim = Simulation(Scenario.from_dict(raw, "video-answers"), seed=1)
+    sim.run()
+    assert [(r.src_id, r.result) for r in requests] == [("c01", "accepted"),
+                                                        ("c02", "declined")]
+    assert sim.clients["c04"].video_answer == "decline"
 
 
 # -- transport --------------------------------------------------------------

@@ -10,12 +10,18 @@ For every workload and seed given, one after the other, this runs
     python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
 
 and keeps the last JSON line it prints (the metrics and whether the run was
-correct) with its export sha256 and replica-count sha256 lines. The file it
-writes holds, per workload, each end-to-end metric's median, quartiles and
-interquartile range over the seeds, and per seed the metric values and the
-two digests, so a later tree run on the same seeds can be compared with it
-digest by digest. Every run lasts SECONDS, the benchmark's run length, so
-any two of these files compare runs of one length.
+correct) with its export sha256 and replica-count sha256 lines. Then it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 1
+
+and keeps that run's per-layer metrics whose unit is ``count`` (calls,
+events, drops), which do not depend on the host. The file it writes holds,
+per workload, each end-to-end metric's median, quartiles and interquartile
+range over the seeds, and per seed the metric values, the two digests and
+the traced counts, so a later tree run on the same seeds can be compared
+with it digest by digest and count by count. Every timed run lasts SECONDS,
+the benchmark's run length, so any two of these files compare runs of one
+length.
 """
 
 from __future__ import annotations
@@ -35,15 +41,29 @@ DIGESTS = {"export sha256 = ": "export_sha256",
            "replica-count sha256 = ": "replica_count_sha256"}
 SECONDS = 40
 COMMAND = ["perfbench/run.py", "--seconds", str(SECONDS), "--trace", "0"]
+TRACE_COMMAND = ["perfbench/run.py", "--seconds", "10", "--trace", "1"]
+
+
+def _run(command: list[str], workload: str, seed: int) -> list[str]:
+    cmd = [sys.executable, *command, "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip().splitlines()
+
+
+def traced_counts(workload: str, seed: int) -> dict:
+    """One traced benchmark run: whether it was correct, and its per-layer
+    counts."""
+    out = json.loads(_run(TRACE_COMMAND, workload, seed)[-1])
+    return {"correct": out["correct"],
+            "counts": {k: m["value"] for k, m in out["metrics"].items()
+                       if m["unit"] == "count"}}
 
 
 def run_one(workload: str, seed: int) -> tuple[dict, dict]:
     """One timed benchmark run: its metric values, correctness and digests,
-    and the metrics' units."""
-    cmd = [sys.executable, *COMMAND, "--workload", workload, "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    lines = proc.stdout.strip().splitlines()
+    and the metrics' units; then one traced run for the counts."""
+    lines = _run(COMMAND, workload, seed)
     out = json.loads(lines[-1])
     record = {"correct": out["correct"], "attempted": out["attempted"],
               "failed": out["failed"],
@@ -52,6 +72,7 @@ def run_one(workload: str, seed: int) -> tuple[dict, dict]:
         for prefix, key in DIGESTS.items():
             if line.startswith(prefix):
                 record[key] = line[len(prefix):]
+    record["traced"] = traced_counts(workload, seed)
     return record, {k: m["unit"] for k, m in out["metrics"].items()}
 
 
@@ -91,6 +112,7 @@ def main(argv=None) -> int:
     doc = {
         "pr": args.pr,
         "command": ["python3", *COMMAND],
+        "trace_command": ["python3", *TRACE_COMMAND],
         "seeds": args.seeds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
