@@ -7,7 +7,7 @@ ledger admits until the 0.85 utilization ceiling would be crossed, then
 reports the bottleneck.
 """
 
-from meshsim import AdmissionLedger, FlowSpec, Reject, build_topology
+from meshsim import AdmissionLedger, FlowSpec, QosParams, Reject, build_topology
 from meshsim.topology import NodeSpec, RadioSpec
 
 
@@ -17,7 +17,7 @@ def main():
     nodes = [NodeSpec(i, (i * 100.0, 0.0), (radio,), is_server=(i == 0))
              for i in range(4)]
     topo = build_topology(nodes)
-    ledger = AdmissionLedger(topo, u_max=0.85, goodput_factor=0.8)
+    ledger = AdmissionLedger(topo, QosParams(u_max=0.85, goodput_factor=0.8))
 
     path = topo.links                     # the full 0 -> 3 chain
     per_link = 64000.0 / (2e6 * 0.8)

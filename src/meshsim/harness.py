@@ -138,11 +138,10 @@ class Simulation:
         self.stack = ServiceStack(self.transport, self.server, self.topo,
                                   self.ledger, scenario.services,
                                   medium=self.medium, warmup=scenario.warmup)
-        self.clients = {}
+        self.clients = self.server.clients    # each Client enters itself
         for cd in scenario.clients:
-            self.clients[cd.id] = Client(cd.id, cd.attach, self.transport,
-                                         self.server, scenario.services,
-                                         video_answer=cd.video_answer)
+            Client(cd.id, cd.attach, self.transport, self.server,
+                   scenario.services, video_answer=cd.video_answer)
         self._schedule_bringup()
         self._schedule_calls()
         self._schedule_actions()

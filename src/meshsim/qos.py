@@ -52,8 +52,7 @@ class QosParams:
         check_ranges(self, positive=("goodput_factor",))
 
 
-def flow_airtime(flow: FlowSpec, link,
-                 goodput_factor: float = QosParams.goodput_factor) -> float:
+def flow_airtime(flow: FlowSpec, link, goodput_factor: float) -> float:
     """Fraction of channel time the flow occupies on one link traversal."""
     return flow.demand / (link.capacity * goodput_factor)
 
@@ -61,35 +60,47 @@ def flow_airtime(flow: FlowSpec, link,
 @dataclass
 class AdmissionLedger:
     topo: Topology
-    u_max: float = QosParams.u_max
-    goodput_factor: float = QosParams.goodput_factor
-    committed: dict[int, float] = field(default_factory=dict)
-    flows: dict[str, dict[int, float]] = field(default_factory=dict)
-    log: list = field(default_factory=list)
+    qos: QosParams = field(default_factory=QosParams)
 
     def __post_init__(self):
+        # live reservations in admission order, each anchor link -> airtime;
+        # committed and residual are summed from them
+        self.flows: dict[str, dict[int, float]] = {}
+        self.log: list = []
         # per link: anchors whose contention domain contains it
         self._affected = [[] for _ in self.topo.links]
         for anchor in self.topo.links:
             for member in self.topo.domains[anchor.index]:
                 self._affected[member].append(anchor.index)
 
+    @property
+    def committed(self) -> dict[int, float]:
+        """Booked airtime per anchor that some live flow books."""
+        total: dict[int, float] = {}
+        for inc in self.flows.values():
+            for anchor, share in inc.items():
+                total[anchor] = total.get(anchor, 0.0) + share
+        return total
+
     def residual(self, anchor_link: int, measured_busy: float = 0.0) -> float:
         """Headroom of one domain given model commitments and measurement."""
-        used = max(self.committed.get(anchor_link, 0.0), measured_busy)
-        return max(self.u_max - used, 0.0)
+        used = 0.0
+        for inc in self.flows.values():
+            used += inc.get(anchor_link, 0.0)
+        return max(self.qos.u_max - max(used, measured_busy), 0.0)
 
     def _increments(self, flow: FlowSpec, path_links) -> dict[int, float]:
         inc: dict[int, float] = {}
         for link in path_links:
-            share = flow_airtime(flow, link, self.goodput_factor)
+            share = flow_airtime(flow, link, self.qos.goodput_factor)
             # every domain that can sense this link pays the airtime
             for anchor_idx in self._affected[link.index]:
                 inc[anchor_idx] = inc.get(anchor_idx, 0.0) + share
         return inc
 
     def admit(self, flow: FlowSpec, path_links, measured_busy=None):
-        """Reserve airtime for the flow on every affected domain, atomically."""
+        """Reserve airtime for the flow on every affected domain, atomically;
+        admitting a live flow again replaces its reservation."""
         if not path_links:
             raise NoRoute(f"flow {flow.id}: empty path")
         inc = self._increments(flow, path_links)
@@ -100,34 +111,12 @@ class AdmissionLedger:
                 rej = Reject(flow.id, anchor, res, inc[anchor])
                 self.log.append(("reject", flow.id, anchor))
                 return rej
-        replaced = self.flows.get(flow.id)
         self.flows[flow.id] = inc
-        self._resum(inc if replaced is None else inc.keys() | replaced.keys())
         self.log.append(("admit", flow.id, None))
         return Admit(flow.id, inc)
 
     def release(self, flow_id: str):
         """Remove the flow's reservations exactly."""
-        if flow_id not in self.flows:
+        if self.flows.pop(flow_id, None) is None:
             raise UnknownFlow(flow_id)
-        self._resum(self.flows.pop(flow_id))
         self.log.append(("release", flow_id, None))
-
-    def _resum(self, anchors):
-        """Re-sum each of these anchors over the flows in insertion order.
-
-        Summing in the same order every time keeps committed exactly the
-        sum over live reservations; an anchor no flow books is dropped.
-        """
-        committed = self.committed
-        for anchor in anchors:
-            total, booked = 0.0, False
-            for inc in self.flows.values():
-                share = inc.get(anchor)
-                if share is not None:
-                    total += share
-                    booked = True
-            if booked:
-                committed[anchor] = total
-            else:
-                committed.pop(anchor, None)

@@ -257,10 +257,7 @@ class Router:
         p = self.params
         hold = p.hold_multiplier * p.hello_interval
         hop_count, elp = p.metric == "hop_count", self.elp
-        medium = self.medium
-        # busy_fraction's cache check, inlined as in Medium.transmit
-        busy_t, busy_cache, t_busy = (medium._busy_cache_t, medium._busy_cache,
-                                      medium.engine.now)
+        busy_fraction = self.medium.busy_fraction
         neighbors = self.neighbors
         out = {}
         for nbr_id in sorted(neighbors):
@@ -275,10 +272,9 @@ class Router:
                 if hop_count:
                     cost = 1.0
                 else:
-                    li = nl.link_idx
-                    busy = (busy_cache[li] if t_busy - busy_t[li] < 0.05
-                            else medium.busy_fraction(li))
-                    cost = metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, elp)
+                    cost = metrics.elp_link(nl.d_f, nl.d_r,
+                                            busy_fraction(nl.link_idx),
+                                            nl.capacity, elp)
                     if cost is None:
                         continue
                 if suppressed and not advertise:

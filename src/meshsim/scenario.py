@@ -192,7 +192,7 @@ class Scenario:
     seeds: list[int]
 
     def make_ledger(self) -> AdmissionLedger:
-        return AdmissionLedger(self.topology, self.qos.u_max, self.qos.goodput_factor)
+        return AdmissionLedger(self.topology, self.qos)
 
     @staticmethod
     def from_dict(raw: dict, name: str = "<dict>") -> "Scenario":

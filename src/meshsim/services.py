@@ -350,13 +350,9 @@ class Server:
                                 on_receive, on_success, on_fail).start()
 
     def _notify_sender(self, msg: Message, outcome: str):
-        src_client = self.clients.get(msg.src)
-        if src_client is None:
-            return
-        session = self.sessions.get(msg.src)
-        if session is None:
-            return
-        self.net.send(self.node_id, session.attach_node, self.params.control_bits,
+        src_client = self.clients[msg.src]
+        self.net.send(self.node_id, self.sessions[msg.src].attach_node,
+                      self.params.control_bits,
                       lambda t: src_client.notify(msg.msg_id, outcome, t))
 
     def _flush_queue(self, client_id):
@@ -393,15 +389,10 @@ class Client:
             if self.server.sessions.get(self.client_id) is not None:
                 self.net.send(self.attach_node, self.server.node_id,
                               self.params.beacon_bits,
-                              lambda t: self._beacon_arrived(t))
+                              partial(self.server.presence_update,
+                                      self.client_id))
             self.net.schedule(self.net.now() + self.params.beacon_interval, tick)
         tick()
-
-    def _beacon_arrived(self, t):
-        try:
-            self.server.presence_update(self.client_id, t)
-        except UnknownSession:
-            pass
 
     def attach(self, node_id):
         self.attach_node = node_id
@@ -495,9 +486,7 @@ class FileTransfer:
                       self.client.client_id, self.dst_id, self.chunk_bits)
 
         def watch(msg_id=msg.msg_id):
-            state = server.deliveries.get(msg_id)
-            if state is None:
-                return
+            state = server.deliveries[msg_id]
             if state.phase == "delivered":
                 self.delivered_chunks += 1
                 self._send_next()
@@ -573,9 +562,13 @@ class ServiceStack:
             admitted = True
         finally:
             if not admitted:
-                for fid in reserved:
-                    self.ledger.release(fid)
+                self.release(reserved)
         return reserved
+
+    def release(self, reserved):
+        """Give back the reservations of these flow ids."""
+        for fid in reserved:
+            self.ledger.release(fid)
 
     def _runner(self, legs, t_end) -> FlowRunner:
         """One CBR generator for the legs of a stream, with their
@@ -596,7 +589,7 @@ class ServiceStack:
 
     def start_call(self, src_id, dst_id, duration, background=False):
         """Bidirectional CBR call at voice_rate; admission-checked unless
-        background."""
+        background. Returns the reserved flow ids, or the Reject."""
         p = self.params
         src_node, dst_node = self._endpoints(src_id, dst_id)
         self._call_counter += 1
@@ -615,10 +608,9 @@ class ServiceStack:
         t_end = now + duration
         runner = self._runner([(fwd, src_id, dst_id), (rev, dst_id, src_id)],
                               t_end)
-        handle = CallHandle(self.ledger, reserved)
         self.net.schedule(now, runner.start)
-        self.net.schedule(t_end, handle.finish)
-        return handle
+        self.net.schedule(t_end, partial(self.release, reserved))
+        return reserved
 
     def broadcast_audio(self, duration) -> list[FlowRecord]:
         """Unicast stream to every online client; exempt from admission."""
@@ -642,19 +634,6 @@ class ServiceStack:
         src_node, dst_node = self._endpoints(src_id, dst_id)
         req = VideoRequest(self, src_id, dst_id, duration, response)
         return req.start(src_node, dst_node)
-
-
-class CallHandle:
-    """The reservations of one stream, which finish releases."""
-
-    def __init__(self, ledger, reserved):
-        self.ledger = ledger
-        self.reserved = reserved
-
-    def finish(self):
-        for fid in self.reserved:
-            self.ledger.release(fid)
-        self.reserved = []
 
 
 # a client's answer to a video request: accept, decline, or let it time out
@@ -715,7 +694,7 @@ class VideoRequest:
         self.result = "accepted"
         t_end = stack.net.now() + self.duration
         stack._runner([(spec, self.src_id, self.dst_id)], t_end).start()
-        stack.net.schedule(t_end, CallHandle(stack.ledger, reserved).finish)
+        stack.net.schedule(t_end, partial(stack.release, reserved))
 
     def _timeout(self):
         if self.result is None:

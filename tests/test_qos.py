@@ -4,7 +4,8 @@ import pytest
 
 from meshsim.engine import rng_stream
 from meshsim.errors import NoRoute, UnknownFlow
-from meshsim.qos import Admit, AdmissionLedger, FlowSpec, Reject, flow_airtime
+from meshsim.qos import (Admit, AdmissionLedger, FlowSpec, QosParams, Reject,
+                         flow_airtime)
 from meshsim.topology import build_topology
 
 from conftest import make_nodes
@@ -22,7 +23,7 @@ def chain_topology(n=2, spacing=10.0, rate=12e6):
 
 
 def make_ledger(n=2, rate=12e6, u_max=0.85):
-    return AdmissionLedger(chain_topology(n, rate=rate), u_max=u_max)
+    return AdmissionLedger(chain_topology(n, rate=rate), QosParams(u_max=u_max))
 
 
 def test_flow_airtime_scales_inversely_with_capacity():
@@ -42,7 +43,7 @@ def test_zero_demand_rejected_upstream():
 
 def test_residual_uses_worst_of_model_and_measurement():
     ledger = make_ledger()
-    ledger.committed[0] = 0.5
+    ledger.flows["booked"] = {0: 0.5}
     assert ledger.residual(0, measured_busy=0.3) == pytest.approx(0.35)
     assert ledger.residual(0, measured_busy=0.7) == pytest.approx(0.15)
     assert ledger.residual(0, measured_busy=0.9) == 0.0
@@ -160,7 +161,7 @@ def test_random_admit_release_conservation():
                 total[anchor] = total.get(anchor, 0.0) + share
         assert ledger.committed == total
         assert set(ledger.flows) == live
-        assert all(v <= ledger.u_max + 1e-9 for v in ledger.committed.values())
+        assert all(v <= ledger.qos.u_max + 1e-9 for v in ledger.committed.values())
     for fid in sorted(live):
         ledger.release(fid)
     assert ledger.committed == {}

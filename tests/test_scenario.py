@@ -309,6 +309,7 @@ def test_protocol_overrides_flow_through():
     assert scn.mac.retry_limit == 3
     assert scn.mac.header_bits == 400
     assert scn.qos.u_max == 0.5
+    assert scn.make_ledger().residual(0) == 0.5
     assert scn.services.ack_timeout == 1.0
 
 
