@@ -48,10 +48,10 @@ class Engine:
     Heap entries are plain (time, seq, fn) tuples; seq breaks time ties in
     scheduling order, and fn is called with no arguments. One event may do
     the work of several that would run back to back, in two places.
-    Medium.broadcast schedules one per arrival instant, not one per
-    receiver, and an event scheduled at its time by any of them still runs
-    after all of them. services.FlowRunner ticks every leg of one stream in
-    one event, not one per leg, with the one exception its docstring names.
+    Medium.broadcast schedules one partial(deliver, receivers, t_arrive)
+    per arrival instant, and an event a receiver's handler schedules at that
+    time still runs after all of them. services.FlowRunner ticks every leg
+    of one stream in one event, with the one exception its docstring names.
     """
 
     def __init__(self, seed: int = 0):
@@ -130,6 +130,10 @@ class Medium:
     index, capacity, slot) entry per adjacent link in adjacency order, where
     slot is the transmitter slot that books the airtime on the first entry
     of each channel and None on the others.
+
+    Links that sense equal slot lists share a domain and its airtime sum,
+    memoized with the _epoch that every booking and bucket rotation bumps:
+    busy_fraction reuses it, the float a re-sum gives, while _epoch holds.
     """
 
     BUCKETS = 5
@@ -151,9 +155,13 @@ class Medium:
         self._bucket = 0
         self._cur_air = self._bucket_air[0]             # current bucket
         self._bucket_dt = self.params.busy_window / self.BUCKETS
-        # per link: transmitter slots that its endpoints can sense
-        self._sensed_slots = [[self._slot_of[(nid, link.channel)] for nid in sensed]
-                              for link, sensed in zip(topo.links, topo.sensed)]
+        # per link: its domain's [epoch, airtime sum, sensed slots], shared
+        domains: dict[tuple[int, ...], list] = {}
+        self._domain = []
+        for link, sensed in zip(topo.links, topo.sensed):
+            slots = tuple(self._slot_of[(nid, link.channel)] for nid in sensed)
+            self._domain.append(domains.setdefault(slots, [-1, 0.0, slots]))
+        self._epoch = 0
         n = len(topo.links)
         self._busy_cache = [0.0] * n
         self._busy_cache_t = [-1.0] * n
@@ -186,6 +194,7 @@ class Medium:
         engine.schedule(engine.now + self._bucket_dt, self._rotate)
 
     def _rotate(self):
+        self._epoch += 1
         self._bucket = (self._bucket + 1) % self.BUCKETS
         old = self._cur_air = self._bucket_air[self._bucket]
         win = self._win_air
@@ -201,11 +210,14 @@ class Medium:
         # cheap cache: busy moves on window timescales, not per frame
         if now - self._busy_cache_t[link_idx] < 0.05:
             return self._busy_cache[link_idx]
-        win = self._win_air
-        air = 0.0
-        for s in self._sensed_slots[link_idx]:
-            air += win[s]
-        b = air / self.params.busy_window
+        memo = self._domain[link_idx]
+        if memo[0] != self._epoch:
+            win = self._win_air
+            air = 0.0
+            for s in memo[2]:
+                air += win[s]
+            memo[0], memo[1] = self._epoch, air
+        b = memo[1] / self.params.busy_window
         if b > BUSY_MAX:
             b = BUSY_MAX
         self._busy_cache[link_idx] = b
@@ -251,6 +263,7 @@ class Medium:
         slot = self._tx_slot[d]
         self._cur_air[slot] += airtime
         self._win_air[slot] += airtime
+        self._epoch += 1
         # tuple.__new__ skips the namedtuple's Python-level __new__
         return _new_tuple(TransmitOutcome, (delivered, attempts, t, airtime))
 
@@ -301,19 +314,16 @@ class Medium:
     def broadcast(self, node_id: int, bits: float, deliver, wanted=None):
         """One unreliable transmission per radio; no retries, no ACKs.
 
-        deliver(neighbor_id, link_idx, t_arrive) fires per reached neighbor.
-        With wanted given, wanted(neighbor_id, t_arrive) is asked once per
-        reached neighbor, after its delivery draw, and the arrival is
-        delivered exactly when it answers true; airtime and the delivery
-        draws are the same either way, so the run's randomness is too.
-
-        Airtime, frame counts, coins and wanted run per fan-out entry, in
-        fan-out order. The arrivals kept are then scheduled as one event per
-        distinct arrival instant, which calls deliver for each of that
-        instant's receivers in fan-out order. That is exact: one event per
-        arrival would have taken consecutive seqs at one time, so nothing
-        could run between them, and whatever a receiver's handler schedules
-        gets a later seq either way.
+        Airtime, frame counts and delivery draws run per fan-out entry, in
+        fan-out order. The entries whose draw passes, (neighbor_id,
+        link_idx, t_arrive) in fan-out order, go in one list to wanted, if
+        given, which returns those to deliver; airtime and draws do not
+        depend on it. They are scheduled as one event per distinct arrival
+        instant, partial(deliver, receivers, t_arrive), receivers being the
+        instant's (neighbor_id, link_idx) pairs in fan-out order. That is
+        exact: one event per arrival would have taken consecutive seqs at
+        one time, so nothing could run between them, and whatever a
+        receiver's handler schedules gets a later seq either way.
         """
         engine = self.engine
         now = engine.now
@@ -321,7 +331,8 @@ class Medium:
         odds = self._p
         cur_air, win_air = self._cur_air, self._win_air
         stats = engine.stats
-        arrivals: dict[float, list[tuple[int, int]]] = {}
+        self._epoch += 1
+        reached = []
         for nbr, link_idx, d, capacity, slot in self._fanout.get(node_id, ()):
             air = bits / capacity
             if slot is not None:
@@ -329,11 +340,14 @@ class Medium:
                 win_air[slot] += air
                 stats.frames_sent += 1
             if random() < odds[d]:
-                t_arrive = now + air
-                if wanted is None or wanted(nbr, t_arrive):
-                    arrivals.setdefault(t_arrive, []).append((nbr, link_idx))
+                reached.append((nbr, link_idx, now + air))
+        if wanted is not None:
+            reached = wanted(reached)
+        arrivals: dict[float, list[tuple[int, int]]] = {}
+        for nbr, link_idx, t_arrive in reached:
+            arrivals.setdefault(t_arrive, []).append((nbr, link_idx))
         for t_arrive, receivers in arrivals.items():
-            engine.schedule(t_arrive, partial(_arrive, deliver, receivers, t_arrive))
+            engine.schedule(t_arrive, partial(deliver, receivers, t_arrive))
 
     def outage(self, a: int, b: int, duration: float):
         """Cut every link between nodes a and b, both ways, for duration.
@@ -356,8 +370,3 @@ class Medium:
                 self._p[2 * idx] = link.p_deliver_fwd
                 self._p[2 * idx + 1] = link.p_deliver_rev
 
-
-def _arrive(deliver, receivers, t_arrive):
-    """One broadcast's arrivals at one instant, in fan-out order."""
-    for nbr, link_idx in receivers:
-        deliver(nbr, link_idx, t_arrive)

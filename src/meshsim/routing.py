@@ -175,23 +175,33 @@ class Router:
 
     def _hello_tick(self):
         now = self.engine.now
+        p = self.params
         alpha = self.elp.ewma_alpha
-        for links in self.neighbors.values():
-            for nl in links.values():
+        hold = p.hold_multiplier * p.hello_interval
+        # each silent link's action touches only its record: list them, then act
+        ratios, silent = {}, []                # ratios: measured neighbor -> us
+        for nbr_id, links in self.neighbors.items():
+            for li, nl in links.items():
                 x = 1.0 if nl.heard_since_tick else 0.0
-                nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
+                ratios[li] = nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
                 nl.heard_since_tick = False
-        self._expire_neighbors(now)
-        self.emit_hello(now)
-        self.engine.schedule(now + self.params.hello_interval, self._hello_tick)
+                if (nl.last_heard >= 0 and now - nl.last_heard > hold
+                        and now >= nl.suppressed_until):
+                    silent.append((nbr_id, li, nl))
+        for nbr_id, li, nl in silent:
+            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
+                    and self._suppression_allowed(nl, now)):
+                self._suppress(nbr_id, nl, now, "missed hellos")
+            else:
+                del ratios[li]
+                self._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
+        self.emit_hello(ratios)
+        self.engine.schedule(now + p.hello_interval, self._hello_tick)
 
-    def emit_hello(self, t):
-        ratios = {li: nl.d_r                   # measured neighbor -> us
-                  for links in self.neighbors.values() for li, nl in links.items()}
+    def emit_hello(self, ratios):
         msg = {"type": "hello", "origin": self.node_id, "ratios": ratios}
-        peers = self.peers
         self.medium.broadcast(self.node_id, self.params.control_bits,
-                              lambda nbr, li, tt: peers[nbr].process_hello(msg, li, tt))
+                              partial(_deliver_hello, self.peers, msg))
 
     def process_hello(self, msg, link_idx: int, t: float):
         origin = msg["origin"]
@@ -214,22 +224,6 @@ class Router:
             nl.d_f = reported                  # our -> neighbor, measured there
             a = self.params.long_term_alpha
             nl.long_term_score = (1 - a) * nl.long_term_score + a * reported
-
-    def _expire_neighbors(self, now):
-        p = self.params
-        hold = p.hold_multiplier * p.hello_interval
-        # a link's action touches only its own record, so the silent links
-        # not held by the maintainer can be listed before any is acted on
-        silent = [(nbr_id, li, nl) for nbr_id, links in self.neighbors.items()
-                  for li, nl in links.items()
-                  if nl.last_heard >= 0 and now - nl.last_heard > hold
-                  and now >= nl.suppressed_until]
-        for nbr_id, li, nl in silent:
-            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
-                    and self._suppression_allowed(nl, now)):
-                self._suppress(nbr_id, nl, now, "missed hellos")
-            else:
-                self._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
 
     def _drop_neighbor_link(self, nbr_id, link_idx, now, reason):
         del self.neighbors[nbr_id][link_idx]
@@ -310,7 +304,7 @@ class Router:
         peers = self.peers
         self.medium.broadcast(
             self.node_id, self.params.control_bits,
-            lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
+            partial(_deliver_ctrl, peers, msg),
             partial(takes_copy, peers, msg["type"], msg["origin"], msg["seq"]))
 
     def receive_control(self, msg, t):
@@ -451,32 +445,44 @@ class Router:
             self._drop_neighbor_link(neighbor, link_idx, t, "tx_failure")
 
 
-def takes_copy(peers, kind, origin, seq, nbr, t_arrive) -> bool:
-    """Whether router peers[nbr] takes a flood copy sent now to reach it at
-    t_arrive.
+# a HELLO's or a flood copy's arrivals at one instant, in fan-out order
+def _deliver_hello(peers, msg, receivers, t):
+    for nbr, link_idx in receivers:
+        peers[nbr].process_hello(msg, link_idx, t)
 
-    It drops a copy on arrival if it is the copy's origin or already holds
-    its seq or a newer one. An originator's seq only grows from 1 and held
-    seqs are never removed, so that is already certain when the copy is
-    sent. It is just as certain when a copy of this seq or a newer one is
-    already scheduled to reach it no later: a scheduled arrival is never
-    cancelled, and on a tie in time the copy scheduled first pops first.
+
+def _deliver_ctrl(peers, msg, receivers, t):
+    for nbr, _link_idx in receivers:
+        peers[nbr].receive_control(msg, t)
+
+
+def takes_copy(peers, kind, origin, seq, reached):
+    """The entries (nbr, link_idx, t_arrive) of reached whose router
+    peers[nbr] takes a flood copy sent now to reach it at t_arrive, judged
+    in fan-out order, so of a neighbour's two links the first goes first.
+
+    A router drops a copy on arrival if it is its origin or holds its seq
+    or a newer one: seqs only grow from 1 and held ones are never removed,
+    so that is certain at send time. So is a copy of this seq or a newer
+    one already scheduled to reach it no later: a scheduled arrival is
+    never cancelled, and the heap pops a time tie in scheduling order.
     in_flight records the best such copy; every copy taken here is
     scheduled, and receive_control takes it when it lands.
     """
-    rt = peers[nbr]                            # the router of node nbr
-    if origin == nbr or seq <= rt.seqs[kind].get(origin, 0):
-        return False
-    flight = rt.in_flight[kind]
-    best = flight.get(origin)
-    if best is not None:
-        best_seq, best_t = best
+    taken = []
+    for entry in reached:
+        nbr, _link_idx, t_arrive = entry
+        rt = peers[nbr]                        # the router of node nbr
+        if origin == nbr or seq <= rt.seqs[kind].get(origin, 0):
+            continue
+        flight = rt.in_flight[kind]
+        best_seq, best_t = flight.get(origin, (0, 0.0))    # seqs start at 1
         if best_seq >= seq and best_t <= t_arrive:
-            return False                       # beaten in flight
-        if best_seq > seq:
-            return True                        # earlier but older: keep best
-    flight[origin] = (seq, t_arrive)
-    return True
+            continue                           # beaten in flight
+        if best_seq <= seq:                    # else earlier but older: keep best
+            flight[origin] = (seq, t_arrive)
+        taken.append(entry)
+    return taken
 
 
 def wire_network(routers: dict[int, Router], medium):

@@ -6,7 +6,7 @@ import pytest
 from meshsim.engine import Engine, MacParams, Medium, rng_stream
 from meshsim.metrics import BUSY_MAX
 from meshsim.errors import PastTime, UnknownLink
-from meshsim.topology import RadioSpec, build_topology
+from meshsim.topology import NodeSpec, RadioSpec, build_topology
 
 from conftest import make_nodes, two_node_topology
 
@@ -158,6 +158,29 @@ def test_busy_fraction_clamped():
     assert med.busy_fraction(0) == BUSY_MAX
 
 
+def test_domain_busy_sum_is_taken_again_after_every_booking():
+    # three nodes in carrier-sense range of each other on one channel: the
+    # links 0-1 and 0-2 sense the same slots and share one busy sum
+    topo = build_topology(make_nodes([(0, 0), (10, 0), (0, 10)]),
+                          overrides={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+    eng = Engine(1)
+    med = Medium(topo, eng, MacParams(busy_window=5.0))
+    assert med._domain[0] is med._domain[1]
+    capacity = topo.links[0].capacity
+
+    def fresh(link_idx):                   # past the per-link cache, then read
+        eng.run_until(eng.now + 0.06)
+        return med.busy_fraction(link_idx)
+    med.transmit(capacity * 0.5, 0, True, 0.0)             # 0.5 s of air
+    assert fresh(0) == fresh(1) == pytest.approx(0.1)
+    med.transmit(capacity * 0.5, 2, True, eng.now)         # booked by transmit
+    assert fresh(1) == pytest.approx(0.2)
+    med.broadcast(1, capacity * 0.5, lambda receivers, t: None)  # and broadcast
+    assert fresh(0) == pytest.approx(0.3)
+    eng.run_until(5.5)                     # each rotation drops a bucket
+    assert fresh(1) == 0.0
+
+
 def test_overlapping_outages_restore_link_when_last_closes():
     med, eng = _medium(1.0)
     link = med.topo.links[0]
@@ -176,7 +199,7 @@ def test_overlapping_outages_restore_link_when_last_closes():
 def test_broadcast_reaches_neighbor_on_perfect_link():
     med, eng = _medium(1.0)
     got = []
-    med.broadcast(0, 512, lambda nbr, li, t: got.append((nbr, li)))
+    med.broadcast(0, 512, lambda receivers, t: got.extend(receivers))
     eng.run_until(1.0)
     assert got == [(1, 0)]
 
@@ -184,7 +207,7 @@ def test_broadcast_reaches_neighbor_on_perfect_link():
 def test_broadcast_never_reaches_over_dead_link():
     med, eng = _medium(0.0)
     got = []
-    med.broadcast(0, 512, lambda nbr, li, t: got.append(nbr))
+    med.broadcast(0, 512, lambda receivers, t: got.extend(receivers))
     eng.run_until(1.0)
     assert got == []
 
@@ -195,11 +218,12 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
     nodes = make_nodes([(0, 0), (10, 0), (0, 10), (-10, 0)])
     nodes[3] = dataclasses.replace(nodes[3], radios=(RadioSpec(1, 6e6, 40.0, 80.0),))
     topo = build_topology(nodes, overrides={(0, 1): 1.0, (0, 2): 1.0, (0, 3): 0.5})
-    asked = []
+    asked, calls = [], [0]
 
-    def wanted(nbr, t):
-        asked.append((nbr, t))
-        return nbr != 2
+    def wanted(reached):
+        calls[0] += 1
+        asked.extend((nbr, t) for nbr, _li, t in reached)
+        return [entry for entry in reached if entry[0] != 2]
     runs = []
     for want in (None, wanted):
         eng = Engine(5)
@@ -207,7 +231,8 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
         got, scheduled, instants = [], 0, 0
         for i in range(20):
             queued = len(eng._heap)
-            med.broadcast(0, 512, lambda nbr, li, t, i=i: got.append((i, nbr, t)), want)
+            med.broadcast(0, 512, lambda receivers, t, i=i: got.extend(
+                (i, nbr, t) for nbr, _li in receivers), want)
             scheduled += len(eng._heap) - queued
         eng.run_until(1.0)
         for i in range(20):
@@ -216,7 +241,8 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
                      [(nbr, t) for (_i, nbr, t) in got], scheduled, instants))
     (state, got, scheduled, instants), (state_w, got_w, scheduled_w, instants_w) = runs
     assert state_w == state                # same coins, airtime and frame count
-    assert sorted(asked) == sorted(got)    # asked once per reached neighbor, at its arrival
+    assert calls == [20]                   # asked once per broadcast
+    assert sorted(asked) == sorted(got)    # of each reached neighbor, at its arrival
     assert got_w == [(nbr, t) for nbr, t in got if nbr != 2]
     assert 2 in dict(got) and 2 not in dict(got_w)
     # one event per distinct arrival instant of each broadcast
@@ -231,12 +257,36 @@ def test_event_scheduled_at_the_arrival_instant_runs_after_the_whole_batch():
     med = Medium(topo, eng)
     order = []
 
-    def deliver(nbr, li, t):
-        order.append(nbr)
-        if len(order) == 1:
-            eng.schedule(t, lambda: order.append("scheduled"))
+    def deliver(receivers, t):
+        for nbr, _li in receivers:
+            order.append(nbr)
+            if len(order) == 1:
+                eng.schedule(t, lambda: order.append("scheduled"))
     med.broadcast(0, 512, deliver)
     eng.run_until(0.5)
     assert order == [nbr for (nbr, *_rest) in med._fanout[0]] + ["scheduled"]
     assert len(order) == 4
     assert eng.stats.events_processed == 2     # the batch, then its follower
+
+
+def test_broadcast_reaches_one_neighbour_over_two_links_at_two_instants():
+    # two radios per node: channel 1 at 6 Mb/s, channel 6 at 12 Mb/s, so
+    # node 1 hears the slower copy, listed first in the fan-out, last
+    radios = (RadioSpec(1, 6e6, 40.0, 80.0), RadioSpec(6, 12e6, 40.0, 80.0))
+    nodes = [NodeSpec(0, (0.0, 0.0), radios), NodeSpec(1, (10.0, 0.0), radios)]
+    topo = build_topology(nodes, overrides={(0, 1): 1.0})
+    eng = Engine(1)
+    med = Medium(topo, eng)
+    asked, got = [], []
+
+    def wanted(reached):
+        asked.append(list(reached))
+        return reached
+    queued = len(eng._heap)
+    med.broadcast(0, 600, lambda receivers, t: got.append((t, receivers)), wanted)
+    slow, fast = 600 / 6e6, 600 / 12e6
+    assert asked == [[(1, 0, slow), (1, 1, fast)]]     # one call, fan-out order
+    assert len(eng._heap) - queued == 2                # one event per instant
+    eng.run_until(1.0)
+    assert got == [(fast, [(1, 1)]), (slow, [(1, 0)])]
+    assert eng.stats.frames_sent == 2                  # one frame per channel

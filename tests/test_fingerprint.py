@@ -147,7 +147,8 @@ def test_broadcast_deliveries_pinned():
     got = []
     for i in range(5):
         eng.run_until(i * 0.1)
-        med.broadcast(0, 2048, lambda nbr, li, t: got.append((nbr, li, t)))
+        med.broadcast(0, 2048, lambda receivers, t: got.extend(
+            (nbr, li, t) for nbr, li in receivers))
     eng.run_until(1.0)
     assert got == BROADCAST_DELIVERIES
 

@@ -1,5 +1,6 @@
 import heapq
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 import yaml
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from meshsim import metrics, preset_path
 from meshsim.engine import Medium, rng_stream
 from meshsim.harness import Simulation
+from meshsim.metrics import BUSY_MAX
 from meshsim.routing import (Route, Router, compute_routes, maybe_switch_route,
                              takes_copy)
 from meshsim.scenario import Scenario
@@ -341,9 +343,9 @@ def test_flood_copies_reach_only_nodes_that_accept_them():
     broadcast = net.medium.broadcast
 
     def tagged_broadcast(node_id, bits, deliver, wanted=None):
-        def tagged(nbr, li, t):
+        def tagged(receivers, t):
             sender[0] = node_id
-            deliver(nbr, li, t)
+            deliver(receivers, t)
         broadcast(node_id, bits, tagged, wanted)
     net.medium.broadcast = tagged_broadcast
 
@@ -470,7 +472,7 @@ def test_takes_keeps_the_newest_copy_in_flight():
     flight = router.in_flight["tc"]
 
     def takes(kind, origin, seq, t_arrive):    # a copy sent to node 0
-        return takes_copy(router.peers, kind, origin, seq, 0, t_arrive)
+        return takes_copy(router.peers, kind, origin, seq, [(0, 0, t_arrive)]) != []
     assert takes("tc", 7, 5, 6.0)
     assert flight[7] == (5, 6.0)
     assert takes("tc", 7, 4, 5.0)          # earlier but older: still lands first
@@ -481,6 +483,14 @@ def test_takes_keeps_the_newest_copy_in_flight():
     assert flight[7] == (6, 8.0)
     assert router.in_flight["hna"] == {}   # kinds are kept apart
     assert not takes("tc", 0, 99, 6.0)     # our own flood
+    # one broadcast reaching node 0 over two links at two instants: its
+    # entries are judged in fan-out order, whichever lands first
+    slow, fast = (0, 0, 9.5), (0, 1, 9.0)
+    assert takes_copy(router.peers, "tc", 7, 7, [slow, fast]) == [slow, fast]
+    assert flight[7] == (7, 9.0)           # the faster copy overtakes
+    fast, slow = (0, 0, 10.0), (0, 1, 10.5)
+    assert takes_copy(router.peers, "tc", 7, 8, [fast, slow]) == [fast]
+    assert flight[7] == (8, 10.0)          # the slower copy is beaten in flight
 
 
 def reference_wanted(router, msg):
@@ -494,26 +504,53 @@ def reference_wanted(router, msg):
     return wanted
 
 
+def per_entry(check):
+    """A per-neighbour flood check, check(nbr, t_arrive), as the batched
+    wanted hook of Medium.broadcast: asked entry by entry in fan-out order."""
+    return lambda reached: [entry for entry in reached if check(entry[0], entry[2])]
+
+
+def per_receiver(deliver):
+    """A per-receiver deliver(nbr, link_idx, t) as the batched deliver hook
+    of Medium.broadcast: called receiver by receiver in fan-out order."""
+    def batch(receivers, t):
+        for nbr, link_idx in receivers:
+            deliver(nbr, link_idx, t)
+    return batch
+
+
 def reference_broadcast_ctrl(router, msg):
     peers, wanted = router.peers, reference_wanted(router, msg)
     router.medium.broadcast(
         router.node_id, router.params.control_bits,
-        lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
-        lambda nbr, _t: wanted(nbr))
+        per_receiver(lambda nbr, li, tt: peers[nbr].receive_control(msg, tt)),
+        per_entry(lambda nbr, _t: wanted(nbr)))
 
 
 def held_seq(router, kind, origin):
     return router.seqs[kind].get(origin, 0)
 
 
-def flood_run(monkeypatch, scn, broadcast_ctrl=None, broadcast=None):
-    """One seed-1 run of scn, optionally with broadcast_ctrl standing in for
-    Router._broadcast_ctrl and broadcast for Medium.broadcast: the flood
-    copies it accepted as (t, receiver, kind, origin, seq), the number it
-    dropped on arrival, its run state without the event count, that count,
-    and every process_hello call as (t, receiver, link index)."""
-    accepted, dropped, hellos = [], [], []
+class FloodRun(NamedTuple):
+    """What flood_run logs: the flood copies taken on arrival as (t,
+    receiver, kind, origin, seq), the number dropped on arrival, the run
+    state without the event count, that count, every process_hello call as
+    (t, receiver, link index), and every entry a wanted hook kept as
+    (broadcast number, t, sender, neighbour, link index, t_arrive)."""
+    accepted: list
+    dropped: int
+    state: dict
+    events: int
+    hellos: list
+    taken: list
+
+
+def flood_run(monkeypatch, scn, broadcast=None, **router_methods):
+    """One seed-1 run of scn, with broadcast standing in for Medium.broadcast
+    and each of router_methods for the Router method of its name."""
+    accepted, dropped, hellos, taken = [], [], [], []
     receive, hello = Router.receive_control, Router.process_hello
+    base, sent = broadcast or Medium.broadcast, [0]
 
     def logged(router, msg, t):
         copy = (t, router.node_id, msg["type"], msg["origin"], msg["seq"])
@@ -527,47 +564,58 @@ def flood_run(monkeypatch, scn, broadcast_ctrl=None, broadcast=None):
     def logged_hello(router, msg, link_idx, t):
         hellos.append((t, router.node_id, link_idx))
         hello(router, msg, link_idx, t)
+
+    def logged_broadcast(medium, node_id, bits, deliver, wanted=None):
+        sent[0] += 1
+        if wanted is not None:
+            def wanted(reached, check=wanted, n=sent[0], now=medium.engine.now):
+                kept = check(reached)
+                taken.extend((n, now, node_id, *entry) for entry in kept)
+                return kept
+        base(medium, node_id, bits, deliver, wanted)
     monkeypatch.setattr(Router, "receive_control", logged)
     monkeypatch.setattr(Router, "process_hello", logged_hello)
-    if broadcast_ctrl is not None:
-        monkeypatch.setattr(Router, "_broadcast_ctrl", broadcast_ctrl)
-    if broadcast is not None:
-        monkeypatch.setattr(Medium, "broadcast", broadcast)
+    monkeypatch.setattr(Medium, "broadcast", logged_broadcast)
+    for name, method in router_methods.items():
+        monkeypatch.setattr(Router, name, method)
     state = run_state(Simulation(scn, 1))
     monkeypatch.undo()
     events = state["engine"].pop("events_processed")
-    return accepted, len(dropped), state, events, hellos
+    return FloodRun(accepted, len(dropped), state, events, hellos, taken)
 
 
 @pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
 def test_flood_elision_leaves_the_run_unchanged(monkeypatch, variant):
     scenario = RUN_STATE_VARIANTS[variant]
-    got, got_dropped, got_state, got_events, _ = flood_run(monkeypatch, scenario())
-    want, want_dropped, want_state, want_events, _ = flood_run(
-        monkeypatch, scenario(), reference_broadcast_ctrl)
-    assert got == want                     # same copies taken at the same times
-    assert got_state == want_state
-    assert got_events < want_events
-    assert got_dropped < want_dropped
+    got = flood_run(monkeypatch, scenario())
+    want = flood_run(monkeypatch, scenario(), _broadcast_ctrl=reference_broadcast_ctrl)
+    assert got.accepted == want.accepted   # same copies taken at the same times
+    assert got.state == want.state
+    assert got.events < want.events
+    assert got.dropped < want.dropped
     if variant == "mixed-rate":
-        assert got_dropped > 0             # overtaking copies still arrive
+        assert got.dropped > 0             # overtaking copies still arrive
     else:
-        assert got_dropped == 0
+        assert got.dropped == 0
 
 
 def test_no_flood_copy_dropped_on_arrival_at_equal_rates(monkeypatch):
-    accepted, dropped, _state, _events, _ = flood_run(monkeypatch, churn_scenario(True))
-    assert {kind for (_t, _rx, kind, _o, _q) in accepted} == {"tc", "hna"}
-    assert dropped == 0
+    run = flood_run(monkeypatch, churn_scenario(True))
+    assert {kind for (_t, _rx, kind, _o, _q) in run.accepted} == {"tc", "hna"}
+    assert run.dropped == 0
 
 
 # -- one event per broadcast arrival instant --------------------------------
 
 def reference_broadcast(medium, node_id, bits, deliver, wanted=None):
     """Medium.broadcast as it was before arrivals were batched, kept as the
-    oracle: one event per reached neighbour link."""
+    oracle: one event per reached neighbour link. It takes the batched
+    hooks, asking wanted about one entry at a time and delivering one
+    receiver per event; it books airtime by hand, so it bumps the busy-sum
+    epoch too."""
     engine = medium.engine
     now = engine.now
+    medium._epoch += 1
     for nbr, link_idx, d, capacity, slot in medium._fanout.get(node_id, ()):
         if slot is not None:
             air = bits / capacity
@@ -576,20 +624,20 @@ def reference_broadcast(medium, node_id, bits, deliver, wanted=None):
             engine.stats.frames_sent += 1
         if medium._random() < medium._p[d]:
             t_arrive = now + bits / capacity
-            if wanted is None or wanted(nbr, t_arrive):
-                engine.schedule(t_arrive, partial(deliver, nbr, link_idx, t_arrive))
+            if wanted is None or wanted([(nbr, link_idx, t_arrive)]):
+                engine.schedule(t_arrive, partial(deliver, [(nbr, link_idx)], t_arrive))
 
 
 @pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
 def test_broadcast_batching_leaves_the_run_unchanged(monkeypatch, variant):
     scenario = RUN_STATE_VARIANTS[variant]
-    got, _, got_state, got_events, got_hellos = flood_run(monkeypatch, scenario())
-    want, _, want_state, want_events, want_hellos = flood_run(
-        monkeypatch, scenario(), broadcast=reference_broadcast)
-    assert got == want                     # same copies taken at the same times
-    assert got_hellos == want_hellos       # same HELLOs heard, in the same order
-    assert got_state == want_state
-    assert got_events < want_events
+    got = flood_run(monkeypatch, scenario())
+    want = flood_run(monkeypatch, scenario(), broadcast=reference_broadcast)
+    assert got.accepted == want.accepted   # same copies taken at the same times
+    assert got.taken == want.taken         # and scheduled by the same checks
+    assert got.hellos == want.hellos       # same HELLOs heard, in the same order
+    assert got.state == want.state
+    assert got.events < want.events
 
 
 # -- control plane with fewer frames ----------------------------------------
@@ -681,10 +729,13 @@ def reference_recompute(router, now):
     router.table = table
 
 
-def reference_takes(router, kind, origin, seq, t_arrive):
-    if origin == router.node_id or seq <= router.seqs[kind].get(origin, 0):
+def reference_takes_copy(peers, kind, origin, seq, nbr, t_arrive) -> bool:
+    """routing.takes_copy as it was before it judged a whole broadcast in
+    one call: whether peers[nbr] takes one copy."""
+    rt = peers[nbr]
+    if origin == nbr or seq <= rt.seqs[kind].get(origin, 0):
         return False
-    flight = router.in_flight[kind]
+    flight = rt.in_flight[kind]
     best = flight.get(origin)
     if best is not None:
         best_seq, best_t = best
@@ -697,13 +748,36 @@ def reference_takes(router, kind, origin, seq, t_arrive):
 
 
 def reference_takes_broadcast_ctrl(router, msg):
-    """The flood check as a lambda calling the receiver's takes method."""
-    kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], router.peers
+    """Router._broadcast_ctrl as it was before its hooks took batches: the
+    per-neighbour takes_copy and a per-receiver lambda, through adapters."""
+    peers = router.peers
     router.medium.broadcast(
         router.node_id, router.params.control_bits,
-        lambda nbr, li, tt: peers[nbr].receive_control(msg, tt),
-        lambda nbr, t_arrive: reference_takes(peers[nbr], kind, origin, seq,
-                                              t_arrive))
+        per_receiver(lambda nbr, li, tt: peers[nbr].receive_control(msg, tt)),
+        per_entry(partial(reference_takes_copy, peers, msg["type"], msg["origin"],
+                          msg["seq"])))
+
+
+def reference_hello_tick(router):
+    """Router._hello_tick as it was before one pass over the neighbour
+    tables aged the ratios, listed the silent links and built the HELLO:
+    three passes, and a per-receiver lambda through an adapter."""
+    now = router.engine.now
+    alpha = router.elp.ewma_alpha
+    for links in router.neighbors.values():
+        for nl in links.values():
+            x = 1.0 if nl.heard_since_tick else 0.0
+            nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
+            nl.heard_since_tick = False
+    reference_expire_neighbors(router, now)
+    ratios = {li: nl.d_r
+              for links in router.neighbors.values() for li, nl in links.items()}
+    msg = {"type": "hello", "origin": router.node_id, "ratios": ratios}
+    peers = router.peers
+    router.medium.broadcast(
+        router.node_id, router.params.control_bits,
+        per_receiver(lambda nbr, li, tt: peers[nbr].process_hello(msg, li, tt)))
+    router.engine.schedule(now + router.params.hello_interval, router._hello_tick)
 
 
 def reference_expire_neighbors(router, now):
@@ -755,7 +829,7 @@ def control_plane_run(monkeypatch, scn, reference):
     if reference:
         monkeypatch.setattr(Router, "_local_links", reference_local_links)
         monkeypatch.setattr(Router, "_broadcast_ctrl", reference_takes_broadcast_ctrl)
-        monkeypatch.setattr(Router, "_expire_neighbors", reference_expire_neighbors)
+        monkeypatch.setattr(Router, "_hello_tick", reference_hello_tick)
     sim = Simulation(scn, 1)
     state = run_state(sim)
     monkeypatch.undo()
@@ -776,3 +850,103 @@ def test_control_plane_matches_reference(monkeypatch, variant):
     assert two_links                       # both branches of _local_links ran
     assert any(kind == "route_switch" for r in state["routers"].values()
                for (_t, kind, _info) in r["events"])
+
+
+# -- batched broadcast hooks and shared busy sums ---------------------------
+
+def two_rate_radio_scenario():
+    """The run-state scenario with, by node id, neither radio, the channel-1
+    one or the channel-6 one at 5.5 Mb/s and the other at 12 Mb/s. A link
+    runs at its slower end's rate, so a neighbour reached over both of its
+    links hears one copy before the other; the channel-1 link comes first in
+    the fan-out, and some neighbours hear its copy first, others last."""
+    raw = run_state_raw()
+    for node in raw["topology"]["nodes"]:
+        slow = (None, 1, 6)[node["id"] % 3]
+        for radio in node["radios"]:
+            radio["nominal_rate"] = 5.5e6 if radio["channel"] == slow else 12e6
+    return Scenario.from_dict(raw, "indoor22-run-state-two-rate")
+
+
+BATCH_VARIANTS = {**CONTROL_PLANE_VARIANTS, "two-rate-radios": two_rate_radio_scenario}
+
+
+def reached_twice(taken):
+    """Whether some broadcast kept copies to one neighbour at two instants."""
+    instants = {}
+    for n, _t, _sender, nbr, _li, t_arrive in taken:
+        instants.setdefault((n, nbr), set()).add(t_arrive)
+    return any(len(ts) > 1 for ts in instants.values())
+
+
+@pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
+def test_batched_broadcast_hooks_match_reference(monkeypatch, variant):
+    scenario = BATCH_VARIANTS[variant]
+    got = flood_run(monkeypatch, scenario())
+    want = flood_run(monkeypatch, scenario(),
+                     _broadcast_ctrl=reference_takes_broadcast_ctrl,
+                     _hello_tick=reference_hello_tick)
+    assert got.taken == want.taken         # the flood check kept the same copies
+    assert got.accepted == want.accepted
+    assert got.hellos == want.hellos       # same HELLOs heard, in the same order
+    assert got.state == want.state
+    assert got.events == want.events
+    assert got.taken and got.hellos
+    # only where a channel is slower can one broadcast reach a neighbour
+    # over two links at two instants, and its entries' order then matters
+    assert reached_twice(got.taken) == (variant == "two-rate-radios")
+
+
+def outdoor7_call_scenario():
+    with open(preset_path("outdoor7")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["run"].update(duration=20.0, warmup=4.0)
+    raw["workload"]["calls"].update(count=3, background=2, start=4.0)
+    return Scenario.from_dict(raw, "outdoor7-busy-calls")
+
+
+def reference_busy_fraction(medium, cache, link_idx):
+    """Medium.busy_fraction as it was before links shared their domain's
+    sum: the per-link 0.05 s cache over a plain re-sum of the airtime of the
+    transmitter slots that the link's endpoints sense."""
+    now = medium.engine.now
+    t, b = cache.get(link_idx, (-1.0, 0.0))
+    if now - t < 0.05:
+        return b
+    link = medium.topo.links[link_idx]
+    air = 0.0
+    for nid in medium.topo.sensed[link_idx]:
+        air += medium._win_air[medium._slot_of[(nid, link.channel)]]
+    b = min(air / medium.params.busy_window, BUSY_MAX)
+    cache[link_idx] = (now, b)
+    return b
+
+
+BUSY_VARIANTS = {"churn": partial(churn_scenario, True),
+                 "outdoor7-calls": outdoor7_call_scenario}
+
+
+@pytest.mark.parametrize("variant", sorted(BUSY_VARIANTS))
+def test_busy_fraction_equals_a_plain_resum(monkeypatch, variant):
+    # every value, cache hits included, against the sum it stands for; a
+    # read between a bucket rotation and the next booking is rare in these
+    # runs, so test_engine.py checks the rotation's epoch bump directly
+    busy = Medium.busy_fraction
+    cache, wrong, counts = {}, [], {"shared": 0, "busy": 0}
+
+    def checked(medium, link_idx):
+        now = medium.engine.now
+        if (now - medium._busy_cache_t[link_idx] >= 0.05
+                and medium._domain[link_idx][0] == medium._epoch):
+            counts["shared"] += 1          # a miss answered by the domain's sum
+        b = busy(medium, link_idx)
+        want = reference_busy_fraction(medium, cache, link_idx)
+        if b != want:
+            wrong.append((now, link_idx, b, want))
+        counts["busy"] += b > 0
+        return b
+    monkeypatch.setattr(Medium, "busy_fraction", checked)
+    Simulation(BUSY_VARIANTS[variant](), 1).run()
+    monkeypatch.undo()
+    assert wrong == []
+    assert counts["shared"] > 0 and counts["busy"] > 0
