@@ -53,9 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario across seeds")
     run.add_argument("scenario")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--seeds", type=str, default=None,
-                     help="seed range, e.g. 1..10")
+    seeds = run.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None)
+    seeds.add_argument("--seeds", type=str, default=None,
+                       help="seed range, e.g. 1..10")
     run.add_argument("--out", default=".")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 

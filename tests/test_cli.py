@@ -181,10 +181,14 @@ def test_unreadable_file_is_one_scenario_error(tmp_path, content):
 def test_usage_errors_exit_one():
     # one argparse path per kind of mistake, in a fresh interpreter
     for argv in (["run", "tiny.yaml", "--seed", "x"],
+                 ["run", "tiny.yaml", "--seed", "3", "--seeds", "1..2"],
                  ["sweep", "tiny.yaml", "--calls", "1"],
                  ["nonsense"], []):
         proc = _cli(argv)
         assert proc.returncode == 1, argv
+        # argparse's usage line: the argv was refused before any scenario
+        # was read, and tiny.yaml does not exist
+        assert proc.stderr.startswith("usage: meshsim"), argv
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert _cli(["--help"]).returncode == 0
 

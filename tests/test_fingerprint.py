@@ -19,7 +19,8 @@ from meshsim.scenario import Scenario
 from meshsim.topology import build_topology
 
 from conftest import make_nodes, two_node_topology
-from runstate import deliveries, run_state, run_state_scenario
+from runstate import (VARIANTS, current_acts, deliveries, flows, run_state,
+                      run_state_scenario, service_scenario)
 
 SEEDS = [1, 2]
 CALLS = [3]
@@ -153,48 +154,17 @@ def test_broadcast_deliveries_pinned():
     assert got == BROADCAST_DELIVERIES
 
 
-# Every service kind on one indoor22 run: broadcast audio, an accepted, a
-# declined and a late video, a call action, a re-attach of that call's caller
-# while the call runs (the call keeps the nodes it started between), an SMS,
-# a file transfer and an outage, on top of calls 3 / bg 2.
-SERVICE_ACTIONS = [
-    {"at": 8.0, "kind": "broadcast_audio", "duration": 20.0},
-    {"at": 9.0, "kind": "video_request", "src": "c01", "dst": "c05"},
-    {"at": 9.5, "kind": "video_request", "src": "c02", "dst": "c04"},
-    {"at": 10.0, "kind": "call", "src": "c06", "dst": "c09"},
-    {"at": 11.0, "kind": "attach", "client": "c06", "node": 12},
-    {"at": 12.0, "kind": "sms", "src": "c03", "dst": "c08"},
-    {"at": 13.0, "kind": "file", "src": "c07", "dst": "c10", "size": 80000.0,
-     "chunk_size": 8000.0},
-    {"at": 14.0, "kind": "outage", "a": 0, "b": 1},
-    {"at": 15.0, "kind": "video_request", "src": "c03", "dst": "c07",
-     "response": "accept"},
-]
-
+# service_scenario (runstate.py): every service kind on one indoor22 run.
 SERVICE_DIGESTS = {
     "json": "c02c0ca4abf89e14edebbc51182599ba1080ca7180ef2c1d8682ed100f6e6313",
     "state": "674ff3c9eaeb9749201b480a12d6cd10670e8310a8ccc89f142f627d4ed3e029"}
-
-
-def service_scenario():
-    with open(preset_path("indoor22")) as fh:
-        raw = yaml.safe_load(fh)
-    raw["run"].update(duration=40.0, warmup=6.0)
-    workload = raw["workload"]
-    workload["calls"].update(count=3, background=2)
-    for client in workload["clients"]:
-        if client["id"] == "c04":
-            client["video_answer"] = "decline"
-    workload["actions"] = SERVICE_ACTIONS
-    return Scenario.from_dict(raw, "indoor22-services")
 
 
 def service_state(sim, report):
     """Relay outcomes, flow rows with their admission flag, admission log."""
     return {
         "deliveries": deliveries(sim.server),
-        "flows": [[f.flow_id, f.kind, f.src, f.dst, f.sent, f.delivered,
-                   f.admitted] for f in report.flows],
+        "flows": flows(report.flows),
         "admission": [list(e) for e in report.admission_log],
     }
 
@@ -227,3 +197,23 @@ def test_run_state_fingerprint():
     digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
     assert digest == RUN_STATE_DIGEST
     assert events == RUN_STATE_EVENTS
+
+
+# Each variant's act log (runstate.act_log, seed 1). It holds no event count
+# and no flood-check decisions, so a change that only folds events or leaves
+# out flood copies certain to be dropped keeps these digests too.
+ACT_LOG_DIGESTS = {
+    "churn-maintained": "b099b222c06d25fb4528c6bae3bfb307eadc99dc87ed0f19e137b3e968209fad",
+    "churn-unmaintained": "6aabd261aa24b43e8da93c04934cb11dc5aea491fa5f4222d839c69df0a152b9",
+    "equal-rate": "68d273102ad960a419223c23f5a2c5304bf3da2c37214cde227717ad8c14c339",
+    "hop-count": "873e8517f4780afeade03ccf7090573458f29273e563252604bc4a2a9b39b3b2",
+    "mixed-rate": "5272c420289786b90b00281612cdebf5b4cdf81eb9f6bf13418c3cd8e0898da3",
+    "services": "29234f36f2079ab9f24fe45c4cafd46f654d8aed7e3d967fd6f6d993722afacc",
+    "two-rate-radios": "efbfb689e0ac5cbb8bb1dc17b62254bd70fce12b7493521093c7b26e1ce94a3f",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_act_log_fingerprint(variant):
+    acts = current_acts(variant).acts
+    assert hashlib.sha256(acts).hexdigest() == ACT_LOG_DIGESTS[variant]

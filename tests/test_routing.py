@@ -1,6 +1,5 @@
 import heapq
 from functools import partial
-from typing import NamedTuple
 
 import pytest
 import yaml
@@ -10,12 +9,11 @@ from meshsim import metrics, preset_path
 from meshsim.engine import Medium, rng_stream
 from meshsim.harness import Simulation
 from meshsim.metrics import BUSY_MAX
-from meshsim.routing import (Route, Router, compute_routes, maybe_switch_route,
-                             takes_copy)
+from meshsim.routing import Route, compute_routes, maybe_switch_route, takes_copy
 from meshsim.scenario import Scenario
 
 from conftest import make_net
-from runstate import RUN_STATE_VARIANTS, run_state, run_state_raw
+from runstate import churn_scenario, held_seq
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -365,6 +363,16 @@ def test_flood_copies_reach_only_nodes_that_accept_them():
     assert all(held < seq for (*_, seq, held) in copies)
 
 
+@pytest.mark.parametrize("ratio", ["d_f", "d_r"])
+def test_link_below_the_dead_ratio_is_left_out(ratio):
+    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(4.0)
+    router, now = net.routers[0], net.engine.now
+    assert set(router._local_links(now)) == {1}
+    setattr(router.neighbors[1][0], ratio, metrics.DEAD_RATIO / 2)
+    assert router._local_links(now) == {}
+    assert router._local_links(now, advertise=True) == {}
+
+
 def test_suppressed_link_penalized_until_release():
     # triangle: direct 0-2 plus detour via 1; suppressing the direct link
     # must move the route to the detour, and back after release
@@ -377,92 +385,6 @@ def test_suppressed_link_penalized_until_release():
     assert router.route_to(2).path == (0, 1, 2)
     net.run(12.0)                          # past suppression + recompute
     assert router.route_to(2).path == (0, 2)
-
-
-# -- route_to fast path ----------------------------------------------------
-
-def reference_route_to(router, dest):
-    """Router.route_to as it was before routes carried their NeighborLink,
-    kept as the oracle: it looks the neighbour link up on every call."""
-    r = router.table.get(dest)
-    if r is None:
-        if router.dirty:
-            router._recompute(router.engine.now)
-            r = router.table.get(dest)
-        return r
-    links = router.neighbors.get(r.next_hop)
-    nl = None if links is None else links.get(r.link_idx)
-    if nl is None or router.engine.now < nl.suppressed_until:
-        router._recompute(router.engine.now)
-        r = router.table.get(dest)
-    return r
-
-
-def bound_to_its_neighbor_link(router, r):
-    return r.nl is router.neighbors.get(r.next_hop, {}).get(r.link_idx)
-
-
-def churn_scenario(maintenance):
-    # long outages under calls suppress links and drop them, on missed
-    # HELLOs and on tx failures; with one suppression allowed per link, a
-    # silent link is dropped on its next strike
-    with open(preset_path("indoor22")) as fh:
-        raw = yaml.safe_load(fh)
-    raw["protocol"]["routing"].update(maintenance=maintenance, max_suppressions=1)
-    raw["run"].update(duration=30.0, warmup=4.0)
-    raw["workload"]["calls"].update(count=3, background=2, start=4.0)
-    raw["workload"]["actions"] = [
-        {"at": 6.0, "kind": "outage", "a": 0, "b": 1, "duration": 18.0},
-        {"at": 7.0, "kind": "outage", "a": 1, "b": 2, "duration": 4.0},
-        {"at": 9.0, "kind": "outage", "a": 8, "b": 9, "duration": 15.0},
-        {"at": 12.0, "kind": "outage", "a": 1, "b": 2, "duration": 14.0},
-    ]
-    return Scenario.from_dict(raw, "route-to-churn")
-
-
-def route_to_log(monkeypatch, maintenance, lookup):
-    """Every route_to call of one run as (t, node, dest, route fields)."""
-    calls = []
-
-    def logged(router, dest):
-        r = lookup(router, dest)
-        calls.append((router.engine.now, router.node_id, dest, None if r is None
-                      else (r.next_hop, r.path_cost, r.path, r.link_idx, r.forward)))
-        return r
-    monkeypatch.setattr(Router, "route_to", logged)
-    sim = Simulation(churn_scenario(maintenance), 1)
-    sim.run()
-    monkeypatch.undo()
-    kinds = [(kind, info.split()[-1]) for r in sim.routers.values()
-             for (_t, kind, info) in r.events]
-    return calls, kinds
-
-
-@pytest.mark.parametrize("maintenance", [True, False])
-def test_route_to_matches_reference_lookup(monkeypatch, maintenance):
-    fast = Router.route_to
-    unbound = []
-
-    def checked(router, dest):
-        before = router.table.get(dest)
-        if before is not None and not bound_to_its_neighbor_link(router, before):
-            unbound.append((router.engine.now, router.node_id, dest))
-        r = fast(router, dest)
-        if r is not None and not bound_to_its_neighbor_link(router, r):
-            unbound.append((router.engine.now, router.node_id, dest))
-        return r
-
-    got, kinds = route_to_log(monkeypatch, maintenance, checked)
-    want, _ = route_to_log(monkeypatch, maintenance, reference_route_to)
-    assert unbound == []
-    assert got == want
-    # the run exercised what could unbind a route
-    drops = {reason for kind, reason in kinds if kind == "link_down"}
-    if maintenance:
-        assert any(kind == "suppress" for kind, _reason in kinds)
-        assert "neighbor_lost" in drops
-    else:
-        assert {"tx_failure", "neighbor_lost"} <= drops
 
 
 # -- flood copies beaten in flight ----------------------------------------
@@ -493,409 +415,7 @@ def test_takes_keeps_the_newest_copy_in_flight():
     assert flight[7] == (8, 10.0)          # the slower copy is beaten in flight
 
 
-def reference_wanted(router, msg):
-    """The flood-copy test as it was before copies beaten in flight were
-    left out, kept as the oracle: it asks only whether the neighbour is the
-    origin or already holds the seq."""
-    kind, origin, seq, peers = msg["type"], msg["origin"], msg["seq"], router.peers
-
-    def wanted(nbr):
-        return nbr != origin and held_seq(peers[nbr], kind, origin) < seq
-    return wanted
-
-
-def per_entry(check):
-    """A per-neighbour flood check, check(nbr, t_arrive), as the batched
-    wanted hook of Medium.broadcast: asked entry by entry in fan-out order."""
-    return lambda reached: [entry for entry in reached if check(entry[0], entry[2])]
-
-
-def per_receiver(deliver):
-    """A per-receiver deliver(nbr, link_idx, t) as the batched deliver hook
-    of Medium.broadcast: called receiver by receiver in fan-out order."""
-    def batch(receivers, t):
-        for nbr, link_idx in receivers:
-            deliver(nbr, link_idx, t)
-    return batch
-
-
-def reference_broadcast_ctrl(router, msg):
-    peers, wanted = router.peers, reference_wanted(router, msg)
-    router.medium.broadcast(
-        router.node_id, router.params.control_bits,
-        per_receiver(lambda nbr, li, tt: peers[nbr].receive_control(msg, tt)),
-        per_entry(lambda nbr, _t: wanted(nbr)))
-
-
-def held_seq(router, kind, origin):
-    return router.seqs[kind].get(origin, 0)
-
-
-class FloodRun(NamedTuple):
-    """What flood_run logs: the flood copies taken on arrival as (t,
-    receiver, kind, origin, seq), the number dropped on arrival, the run
-    state without the event count, that count, every process_hello call as
-    (t, receiver, link index), and every entry a wanted hook kept as
-    (broadcast number, t, sender, neighbour, link index, t_arrive)."""
-    accepted: list
-    dropped: int
-    state: dict
-    events: int
-    hellos: list
-    taken: list
-
-
-def flood_run(monkeypatch, scn, broadcast=None, **router_methods):
-    """One seed-1 run of scn, with broadcast standing in for Medium.broadcast
-    and each of router_methods for the Router method of its name."""
-    accepted, dropped, hellos, taken = [], [], [], []
-    receive, hello = Router.receive_control, Router.process_hello
-    base, sent = broadcast or Medium.broadcast, [0]
-
-    def logged(router, msg, t):
-        copy = (t, router.node_id, msg["type"], msg["origin"], msg["seq"])
-        before = held_seq(router, msg["type"], msg["origin"])
-        receive(router, msg, t)
-        if held_seq(router, msg["type"], msg["origin"]) != before:
-            accepted.append(copy)
-        else:
-            dropped.append(copy)
-
-    def logged_hello(router, msg, link_idx, t):
-        hellos.append((t, router.node_id, link_idx))
-        hello(router, msg, link_idx, t)
-
-    def logged_broadcast(medium, node_id, bits, deliver, wanted=None):
-        sent[0] += 1
-        if wanted is not None:
-            def wanted(reached, check=wanted, n=sent[0], now=medium.engine.now):
-                kept = check(reached)
-                taken.extend((n, now, node_id, *entry) for entry in kept)
-                return kept
-        base(medium, node_id, bits, deliver, wanted)
-    monkeypatch.setattr(Router, "receive_control", logged)
-    monkeypatch.setattr(Router, "process_hello", logged_hello)
-    monkeypatch.setattr(Medium, "broadcast", logged_broadcast)
-    for name, method in router_methods.items():
-        monkeypatch.setattr(Router, name, method)
-    state = run_state(Simulation(scn, 1))
-    monkeypatch.undo()
-    events = state["engine"].pop("events_processed")
-    return FloodRun(accepted, len(dropped), state, events, hellos, taken)
-
-
-@pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
-def test_flood_elision_leaves_the_run_unchanged(monkeypatch, variant):
-    scenario = RUN_STATE_VARIANTS[variant]
-    got = flood_run(monkeypatch, scenario())
-    want = flood_run(monkeypatch, scenario(), _broadcast_ctrl=reference_broadcast_ctrl)
-    assert got.accepted == want.accepted   # same copies taken at the same times
-    assert got.state == want.state
-    assert got.events < want.events
-    assert got.dropped < want.dropped
-    if variant == "mixed-rate":
-        assert got.dropped > 0             # overtaking copies still arrive
-    else:
-        assert got.dropped == 0
-
-
-def test_no_flood_copy_dropped_on_arrival_at_equal_rates(monkeypatch):
-    run = flood_run(monkeypatch, churn_scenario(True))
-    assert {kind for (_t, _rx, kind, _o, _q) in run.accepted} == {"tc", "hna"}
-    assert run.dropped == 0
-
-
-# -- one event per broadcast arrival instant --------------------------------
-
-def reference_broadcast(medium, node_id, bits, deliver, wanted=None):
-    """Medium.broadcast as it was before arrivals were batched, kept as the
-    oracle: one event per reached neighbour link. It takes the batched
-    hooks, asking wanted about one entry at a time and delivering one
-    receiver per event; it books airtime by hand, so it bumps the busy-sum
-    epoch too."""
-    engine = medium.engine
-    now = engine.now
-    medium._epoch += 1
-    for nbr, link_idx, d, capacity, slot in medium._fanout.get(node_id, ()):
-        if slot is not None:
-            air = bits / capacity
-            medium._cur_air[slot] += air
-            medium._win_air[slot] += air
-            engine.stats.frames_sent += 1
-        if medium._random() < medium._p[d]:
-            t_arrive = now + bits / capacity
-            if wanted is None or wanted([(nbr, link_idx, t_arrive)]):
-                engine.schedule(t_arrive, partial(deliver, [(nbr, link_idx)], t_arrive))
-
-
-@pytest.mark.parametrize("variant", sorted(RUN_STATE_VARIANTS))
-def test_broadcast_batching_leaves_the_run_unchanged(monkeypatch, variant):
-    scenario = RUN_STATE_VARIANTS[variant]
-    got = flood_run(monkeypatch, scenario())
-    want = flood_run(monkeypatch, scenario(), broadcast=reference_broadcast)
-    assert got.accepted == want.accepted   # same copies taken at the same times
-    assert got.taken == want.taken         # and scheduled by the same checks
-    assert got.hellos == want.hellos       # same HELLOs heard, in the same order
-    assert got.state == want.state
-    assert got.events < want.events
-
-
-# -- control plane with fewer frames ----------------------------------------
-
-def reference_link_cost(router, nl):
-    """Router._link_cost as it was before link costs were computed inline
-    in _local_links, kept with the three references below as the oracle."""
-    if router.params.metric == "hop_count":
-        return 1.0
-    busy = router.medium.busy_fraction(nl.link_idx)
-    return metrics.elp_link(nl.d_f, nl.d_r, busy, nl.capacity, router.elp)
-
-
-def reference_local_links(router, now, advertise=False):
-    p = router.params
-    hold = p.hold_multiplier * p.hello_interval
-    out = {}
-    for nbr_id, links in sorted(router.neighbors.items()):
-        best = None
-        for _li, nl in sorted(links.items()):
-            suppressed = now < nl.suppressed_until
-            alive = (nl.reported and nl.last_heard >= 0
-                     and now - nl.last_heard <= hold)
-            if not alive and not suppressed:
-                continue
-            cost = reference_link_cost(router, nl)
-            if cost is None:
-                continue
-            if suppressed and not advertise:
-                cost *= router.SUPPRESS_PENALTY
-            if best is None or cost < best[0]:
-                best = (cost, nl)
-        if best is not None:
-            out[nbr_id] = best
-    return out
-
-
-def reference_graph(router, now, local):
-    graph = {}
-    for origin in sorted(router.db):
-        entry = router.db[origin]
-        if entry["expires"] < now:
-            continue
-        graph[origin] = entry["links"]
-    graph[router.node_id] = {nbr: cost for nbr, (cost, _nl) in local.items()}
-    return graph
-
-
-def reference_bind(route, nl):
-    route.link_idx, route.forward, route.nl = nl.link_idx, nl.forward, nl
-
-
-def reference_recompute(router, now):
-    router.dirty = False
-    local = router._local_links(now)
-    graph = reference_graph(router, now, local)
-    fresh = compute_routes(graph, router.node_id)
-    table = {}
-    h = router.params.hysteresis
-    for dest in fresh:
-        cand = fresh[dest]
-        reference_bind(cand, local[cand.next_hop][1])
-        cur = router.table.get(dest)
-        cur_valid = (cur is not None and cur.next_hop in local
-                     and now >= cur.nl.suppressed_until)
-        if cur_valid:
-            path = cur.path
-            prev = path[0]
-            for hop in path[1:]:
-                if hop not in graph.get(prev, {}):
-                    cur_valid = False
-                    break
-                prev = hop
-        if not cur_valid:
-            if cur is not None:
-                router.log("route_switch", f"dest={dest} invalidated")
-            table[dest] = cand
-        elif cand.path == cur.path:
-            table[dest] = cand
-        elif maybe_switch_route(cur, cand, h):
-            router.log("route_switch", f"dest={dest} {cur.path}->{cand.path}")
-            table[dest] = cand
-        else:
-            reference_bind(cur, local[cur.next_hop][1])
-            table[dest] = cur
-    for dest, cur in router.table.items():
-        if dest not in table:
-            router.log("route_switch", f"dest={dest} lost")
-    router.table = table
-
-
-def reference_takes_copy(peers, kind, origin, seq, nbr, t_arrive) -> bool:
-    """routing.takes_copy as it was before it judged a whole broadcast in
-    one call: whether peers[nbr] takes one copy."""
-    rt = peers[nbr]
-    if origin == nbr or seq <= rt.seqs[kind].get(origin, 0):
-        return False
-    flight = rt.in_flight[kind]
-    best = flight.get(origin)
-    if best is not None:
-        best_seq, best_t = best
-        if best_seq >= seq and best_t <= t_arrive:
-            return False
-        if best_seq > seq:
-            return True
-    flight[origin] = (seq, t_arrive)
-    return True
-
-
-def reference_takes_broadcast_ctrl(router, msg):
-    """Router._broadcast_ctrl as it was before its hooks took batches: the
-    per-neighbour takes_copy and a per-receiver lambda, through adapters."""
-    peers = router.peers
-    router.medium.broadcast(
-        router.node_id, router.params.control_bits,
-        per_receiver(lambda nbr, li, tt: peers[nbr].receive_control(msg, tt)),
-        per_entry(partial(reference_takes_copy, peers, msg["type"], msg["origin"],
-                          msg["seq"])))
-
-
-def reference_hello_tick(router):
-    """Router._hello_tick as it was before one pass over the neighbour
-    tables aged the ratios, listed the silent links and built the HELLO:
-    three passes, and a per-receiver lambda through an adapter."""
-    now = router.engine.now
-    alpha = router.elp.ewma_alpha
-    for links in router.neighbors.values():
-        for nl in links.values():
-            x = 1.0 if nl.heard_since_tick else 0.0
-            nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
-            nl.heard_since_tick = False
-    reference_expire_neighbors(router, now)
-    ratios = {li: nl.d_r
-              for links in router.neighbors.values() for li, nl in links.items()}
-    msg = {"type": "hello", "origin": router.node_id, "ratios": ratios}
-    peers = router.peers
-    router.medium.broadcast(
-        router.node_id, router.params.control_bits,
-        per_receiver(lambda nbr, li, tt: peers[nbr].process_hello(msg, li, tt)))
-    router.engine.schedule(now + router.params.hello_interval, router._hello_tick)
-
-
-def reference_expire_neighbors(router, now):
-    """_expire_neighbors as it was before it listed the silent links first:
-    it walks a copy of every neighbour's links."""
-    p = router.params
-    hold = p.hold_multiplier * p.hello_interval
-    for nbr_id in list(router.neighbors):
-        for li, nl in list(router.neighbors[nbr_id].items()):
-            if nl.last_heard < 0 or now - nl.last_heard <= hold:
-                continue
-            if now < nl.suppressed_until:
-                continue
-            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
-                    and router._suppression_allowed(nl, now)):
-                router._suppress(nbr_id, nl, now, "missed hellos")
-            else:
-                router._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
-
-
-def hop_count_scenario():
-    raw = run_state_raw()
-    raw["protocol"]["metric"] = "hop_count"
-    return Scenario.from_dict(raw, "indoor22-run-state-hop-count")
-
-
-CONTROL_PLANE_VARIANTS = {**RUN_STATE_VARIANTS,
-                          "churn-maintained": partial(churn_scenario, True),
-                          "churn-unmaintained": partial(churn_scenario, False),
-                          "hop-count": hop_count_scenario}
-
-
-def control_plane_run(monkeypatch, scn, reference):
-    """One seed-1 run of scn, with the reference control plane or today's:
-    every router's table at each _recompute exit, whether some neighbour
-    then had two links, every router's in_flight and the run state."""
-    tables, two_links = [], [False]
-    recompute = reference_recompute if reference else Router._recompute
-
-    def logged(router, now):
-        recompute(router, now)
-        nbrs = router.neighbors
-        tables.append((router.engine.now, router.node_id, [
-            (d, r.next_hop, r.path_cost, r.path, r.link_idx, r.forward,
-             r.nl is nbrs.get(r.next_hop, {}).get(r.link_idx))
-            for d, r in router.table.items()]))
-        two_links[0] = two_links[0] or any(len(ls) > 1 for ls in nbrs.values())
-    monkeypatch.setattr(Router, "_recompute", logged)
-    if reference:
-        monkeypatch.setattr(Router, "_local_links", reference_local_links)
-        monkeypatch.setattr(Router, "_broadcast_ctrl", reference_takes_broadcast_ctrl)
-        monkeypatch.setattr(Router, "_hello_tick", reference_hello_tick)
-    sim = Simulation(scn, 1)
-    state = run_state(sim)
-    monkeypatch.undo()
-    flights = {nid: r.in_flight for nid, r in sim.routers.items()}
-    return tables, two_links[0], flights, state
-
-
-@pytest.mark.parametrize("variant", sorted(CONTROL_PLANE_VARIANTS))
-def test_control_plane_matches_reference(monkeypatch, variant):
-    scenario = CONTROL_PLANE_VARIANTS[variant]
-    got = control_plane_run(monkeypatch, scenario(), reference=False)
-    want = control_plane_run(monkeypatch, scenario(), reference=True)
-    tables, two_links, flights, state = got
-    assert tables == want[0]               # same table at every recompute exit
-    assert all(bound for (_t, _n, rows) in tables for *_, bound in rows)
-    assert flights == want[2]
-    assert state == want[3]                # router logs (t, kind, info) too
-    assert two_links                       # both branches of _local_links ran
-    assert any(kind == "route_switch" for r in state["routers"].values()
-               for (_t, kind, _info) in r["events"])
-
-
-# -- batched broadcast hooks and shared busy sums ---------------------------
-
-def two_rate_radio_scenario():
-    """The run-state scenario with, by node id, neither radio, the channel-1
-    one or the channel-6 one at 5.5 Mb/s and the other at 12 Mb/s. A link
-    runs at its slower end's rate, so a neighbour reached over both of its
-    links hears one copy before the other; the channel-1 link comes first in
-    the fan-out, and some neighbours hear its copy first, others last."""
-    raw = run_state_raw()
-    for node in raw["topology"]["nodes"]:
-        slow = (None, 1, 6)[node["id"] % 3]
-        for radio in node["radios"]:
-            radio["nominal_rate"] = 5.5e6 if radio["channel"] == slow else 12e6
-    return Scenario.from_dict(raw, "indoor22-run-state-two-rate")
-
-
-BATCH_VARIANTS = {**CONTROL_PLANE_VARIANTS, "two-rate-radios": two_rate_radio_scenario}
-
-
-def reached_twice(taken):
-    """Whether some broadcast kept copies to one neighbour at two instants."""
-    instants = {}
-    for n, _t, _sender, nbr, _li, t_arrive in taken:
-        instants.setdefault((n, nbr), set()).add(t_arrive)
-    return any(len(ts) > 1 for ts in instants.values())
-
-
-@pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
-def test_batched_broadcast_hooks_match_reference(monkeypatch, variant):
-    scenario = BATCH_VARIANTS[variant]
-    got = flood_run(monkeypatch, scenario())
-    want = flood_run(monkeypatch, scenario(),
-                     _broadcast_ctrl=reference_takes_broadcast_ctrl,
-                     _hello_tick=reference_hello_tick)
-    assert got.taken == want.taken         # the flood check kept the same copies
-    assert got.accepted == want.accepted
-    assert got.hellos == want.hellos       # same HELLOs heard, in the same order
-    assert got.state == want.state
-    assert got.events == want.events
-    assert got.taken and got.hellos
-    # only where a channel is slower can one broadcast reach a neighbour
-    # over two links at two instants, and its entries' order then matters
-    assert reached_twice(got.taken) == (variant == "two-rate-radios")
-
+# -- shared busy sums -------------------------------------------------------
 
 def outdoor7_call_scenario():
     with open(preset_path("outdoor7")) as fh:

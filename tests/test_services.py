@@ -152,6 +152,23 @@ def test_relay_leg_retries_and_requeues_for_offline():
     assert msg in server.offline_queue["bob"]
 
 
+def test_relay_leg_fails_while_recipient_stays_online():
+    # every relay data frame is lost and bob stays online: the message
+    # fails, and the server tells alice so
+    net, server, alice, bob = make_world(
+        loss_script={(SRV, NODE_B): [False] * 4})
+    alice.register()
+    bob.register()
+    msg = alice.send_sms("bob")
+    net.run(30.0)
+    assert net.count(SRV, NODE_B) == 4
+    assert server.is_online("bob") and bob.inbox == []
+    state = server.deliveries[msg.msg_id]
+    assert (state.phase, state.retries_used) == ("failed", 3)
+    assert "bob" not in server.offline_queue
+    assert [(m, o) for (m, o, _t) in alice.notifications] == [(msg.msg_id, "failed")]
+
+
 # -- exhaustive loss-pattern walk over one stop-and-wait leg ----------------
 
 OK, DATA_LOST, ACK_LOST = "ok", "data_lost", "ack_lost"

@@ -1,20 +1,18 @@
 """Call, broadcast, and video behavior of the service stack."""
 
-from functools import partial
-
 import pytest
 import yaml
 
-from meshsim import preset_path, services
+from meshsim import preset_path
 from meshsim.errors import CalleeOffline, DurationExceeded, NoRoute, SenderOffline
-from meshsim.harness import Simulation, single_run_result
+from meshsim.harness import Simulation
 from meshsim.qos import FlowSpec, Reject
 from meshsim.scenario import Scenario
-from meshsim.services import Client, Server, ServiceParams, ServiceStack
+from meshsim.services import (Client, MeshTransport, Server, ServiceParams,
+                              ServiceStack)
 
-from conftest import FakeNet
-from runstate import RUN_STATE_VARIANTS, run_state
-from test_fingerprint import export_digests, service_scenario, service_state
+from conftest import FakeNet, make_net
+from runstate import service_scenario
 
 
 def make_stack(n_clients=2, attach=0):
@@ -231,87 +229,22 @@ def test_send_that_arrives_is_not_a_no_route_drop(with_callback):
     assert len(arrived) == with_callback
 
 
+def test_ttl_expiry_counts_as_a_drop():
+    # node 2 is two hops from node 0: with a TTL of 1 the frame reaches the
+    # relay and goes no further, with 2 it arrives
+    net = make_net([(0, 0), (30, 0), (60, 0)], overrides={(0, 1): 1.0, (1, 2): 1.0})
+    net.run(8.0)
+    assert net.routers[0].table[2].path == (0, 1, 2)
+    transport, arrived = MeshTransport(net.engine, net.medium, net.routers), []
+    transport._forward(0, 2, 1000, arrived.append, 1)
+    net.run(9.0)
+    assert (transport.no_route_drops, arrived) == (1, [])
+    transport._forward(0, 2, 1000, arrived.append, 2)
+    net.run(10.0)
+    assert transport.no_route_drops == 1 and len(arrived) == 1
+
+
 # -- one tick event per stream ----------------------------------------------
-
-class OneLegFlowRunner:
-    """FlowRunner as it was before the legs of a stream shared one tick
-    event, kept as the oracle: a CBR generator for one unidirectional flow."""
-
-    def __init__(self, net, src_node, dst_node, packet_bits, interval,
-                 t_end, record):
-        self.net = net
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.packet_bits = packet_bits
-        self.interval = interval
-        self.t_end = t_end
-        self.record = record
-
-    def start(self):
-        self._tick()
-        return self
-
-    def _tick(self):
-        net = self.net
-        now = net.now()
-        if now >= self.t_end:
-            return
-        record = self.record
-        record.on_send(now)
-        net.send(self.src_node, self.dst_node, self.packet_bits,
-                 partial(record.on_recv, now))
-        net.schedule(now + self.interval, self._tick)
-
-
-class reference_flow_runner:
-    """Stands in for FlowRunner: one OneLegFlowRunner per leg, started in
-    leg order, so each leg ticks as its own event."""
-
-    def __init__(self, net, legs, packet_bits, interval, t_end):
-        self.legs = legs
-        self.runners = [OneLegFlowRunner(net, src, dst, packet_bits, interval,
-                                         t_end, record)
-                        for src, dst, record in legs]
-
-    def start(self):
-        for runner in self.runners:
-            runner.start()
-        return self
-
-
-STREAM_SCENARIOS = dict(RUN_STATE_VARIANTS, services=service_scenario)
-
-
-def stream_run(monkeypatch, scenario, seeds, tmp_path, runner=None):
-    """Export digests of scenario over seeds, then per seed its run state
-    without the event count and its service state, and the events run over
-    all seeds; with runner given, it stands in for FlowRunner."""
-    if runner is not None:
-        monkeypatch.setattr(services, "FlowRunner", runner)
-    digests = export_digests(single_run_result(scenario(), seeds), tmp_path)
-    states, events = [], 0
-    for seed in seeds:
-        sim = Simulation(scenario(), seed)
-        state = run_state(sim)
-        events += state["engine"].pop("events_processed")
-        # the run has ended, so run() again only reports it
-        states.append((state, service_state(sim, sim.run())))
-    monkeypatch.undo()
-    return digests, states, events
-
-
-@pytest.mark.parametrize("name", sorted(STREAM_SCENARIOS))
-def test_stream_fold_leaves_the_run_unchanged(monkeypatch, tmp_path, name):
-    scenario = STREAM_SCENARIOS[name]
-    seeds = [1, 2] if name == "services" else [1]
-    got_digests, got_states, got_events = stream_run(
-        monkeypatch, scenario, seeds, tmp_path)
-    want_digests, want_states, want_events = stream_run(
-        monkeypatch, scenario, seeds, tmp_path, reference_flow_runner)
-    assert got_digests == want_digests
-    assert got_states == want_states
-    assert got_events < want_events
-
 
 def test_legs_of_one_runner_share_rate_and_packet_size():
     _net, _server, stack, _clients = make_stack()
