@@ -92,6 +92,9 @@ class Engine:
 
 _new_tuple = tuple.__new__
 
+#: seconds a read busy fraction is reused: busy moves on window timescales
+BUSY_CACHE_S = 0.05
+
 
 class TransmitOutcome(NamedTuple):
     delivered: bool
@@ -134,6 +137,8 @@ class Medium:
     Links that sense equal slot lists share a domain and its airtime sum,
     memoized with the _epoch that every booking and bucket rotation bumps:
     busy_fraction reuses it, the float a re-sum gives, while _epoch holds.
+    A link's busy fraction is reused for BUSY_CACHE_S. Routers, the transport
+    and the service stack read the run's topology and engine from here.
     """
 
     BUCKETS = 5
@@ -207,8 +212,7 @@ class Medium:
     def busy_fraction(self, link_idx: int) -> float:
         """Measured busy fraction of the link's contention domain, clamped."""
         now = self.engine.now
-        # cheap cache: busy moves on window timescales, not per frame
-        if now - self._busy_cache_t[link_idx] < 0.05:
+        if now - self._busy_cache_t[link_idx] < BUSY_CACHE_S:
             return self._busy_cache[link_idx]
         memo = self._domain[link_idx]
         if memo[0] != self._epoch:
@@ -236,7 +240,7 @@ class Medium:
         p = self._p[d]
         air = frame_size / capacity[link_idx]
         # busy_fraction's cache check, inlined: most frames hit the cache
-        if self.engine.now - self._busy_cache_t[link_idx] < 0.05:
+        if self.engine.now - self._busy_cache_t[link_idx] < BUSY_CACHE_S:
             b = self._busy_cache[link_idx]
         else:
             b = self.busy_fraction(link_idx)

@@ -120,28 +120,23 @@ class Simulation:
         self.engine = Engine(seed)
         self.topo = scenario.topology
         self.medium = Medium(self.topo, self.engine, scenario.mac)
-        servers = self.topo.server_nodes()
-        self.routers = {}
         node_ids = sorted(self.topo.nodes)
-        for i, nid in enumerate(node_ids):
-            r = Router(nid, self.topo, self.engine, self.medium,
-                       scenario.routing, scenario.elp,
-                       is_server=self.topo.nodes[nid].is_server)
-            self.routers[nid] = r
+        self.routers = {nid: Router(nid, self.medium, scenario.routing, scenario.elp)
+                        for nid in node_ids}
         wire_network(self.routers, self.medium)
         phase_step = scenario.routing.hello_interval / max(len(node_ids), 1)
         for i, nid in enumerate(node_ids):
             self.routers[nid].start(phase=i * phase_step)
-        self.transport = MeshTransport(self.engine, self.medium, self.routers)
+        self.transport = MeshTransport(self.medium, self.routers)
         self.ledger = scenario.make_ledger()
-        self.server = Server(self.transport, servers[0], scenario.services)
-        self.stack = ServiceStack(self.transport, self.server, self.topo,
-                                  self.ledger, scenario.services,
-                                  medium=self.medium, warmup=scenario.warmup)
+        self.server = Server(self.transport, self.topo.server_nodes()[0],
+                             scenario.services)
+        self.stack = ServiceStack(self.transport, self.server, self.ledger,
+                                  self.medium, warmup=scenario.warmup)
         self.clients = self.server.clients    # each Client enters itself
         for cd in scenario.clients:
             Client(cd.id, cd.attach, self.transport, self.server,
-                   scenario.services, video_answer=cd.video_answer)
+                   video_answer=cd.video_answer)
         self._schedule_bringup()
         self._schedule_calls()
         self._schedule_actions()

@@ -48,14 +48,13 @@ class Route:
     next_hop: int
     path_cost: float
     path: tuple[int, ...]
-    link_idx: int = -1
-    forward: bool = True
-    # The neighbour record _recompute bound this route to. Every removal
+    # The neighbour record _recompute bound this route to; its link_idx and
+    # forward are the first hop's link and transmit direction. Every removal
     # from Router.neighbors goes through _drop_neighbor_link, which
     # recomputes before any route_to runs, so for a route in Router.table
-    # this is always neighbors[next_hop][link_idx]. A record is dropped only
-    # once its suppression is over, and a dropped record is never suppressed
-    # again, so a route still bound to one reads as not suppressed.
+    # this is always neighbors[next_hop][nl.link_idx]. A record is dropped
+    # only once its suppression is over, and a dropped record is never
+    # suppressed again, so a route still bound to one reads as not suppressed.
     nl: NeighborLink | None = field(default=None, compare=False, repr=False)
 
 
@@ -135,15 +134,14 @@ class NeighborLink:
 class Router:
     """One node's routing agent, driven entirely by engine events."""
 
-    def __init__(self, node_id, topo, engine, medium, params: RoutingParams,
-                 elp_params: ElpParams | None = None, is_server=False):
+    def __init__(self, node_id, medium, params: RoutingParams,
+                 elp_params: ElpParams | None = None):
         self.node_id = node_id
-        self.topo = topo
-        self.engine = engine
         self.medium = medium
+        self.engine = medium.engine
         self.params = params
         self.elp = elp_params or ElpParams()
-        self.is_server = is_server
+        self.is_server = medium.topo.nodes[node_id].is_server
         self.peers: dict[int, "Router"] = {}     # filled by wire_network
         # neighbor node -> {link_idx: NeighborLink}
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
@@ -210,7 +208,7 @@ class Router:
             links = self.neighbors[origin] = {}
         nl = links.get(link_idx)
         if nl is None:
-            link = self.topo.links[link_idx]
+            link = self.medium.topo.links[link_idx]
             forward = link.src == self.node_id     # our data direction on this link
             nl = links[link_idx] = NeighborLink(link_idx, forward, link.capacity)
             self.dirty = True
@@ -323,7 +321,7 @@ class Router:
 
     def _graph(self, now, local) -> dict[int, dict[int, float]]:
         db = self.db
-        graph = {o: db[o]["links"] for o in sorted(db) if db[o]["expires"] >= now}
+        graph = {o: e["links"] for o, e in db.items() if e["expires"] >= now}
         graph[self.node_id] = {nbr: cost for nbr, (cost, _nl) in local.items()}
         return graph
 
@@ -343,8 +341,7 @@ class Router:
         h = self.params.hysteresis
         for dest, cand in fresh.items():
             # bind cand to its first hop's link; graph[self.node_id] is local's
-            nl = local[cand.next_hop][1]
-            cand.link_idx, cand.forward, cand.nl = nl.link_idx, nl.forward, nl
+            cand.nl = local[cand.next_hop][1]
             table[dest] = cand
             cur = old.get(dest)
             if cur is None:
@@ -368,8 +365,7 @@ class Router:
                 self.log("route_switch", f"dest={dest} {cur.path}->{cand.path}")
             else:
                 # keep the incumbent; refresh its next-hop link binding
-                nl = local[cur.next_hop][1]
-                cur.link_idx, cur.forward, cur.nl = nl.link_idx, nl.forward, nl
+                cur.nl = local[cur.next_hop][1]
                 table[dest] = cur
         for dest in old:
             if dest not in table:

@@ -131,8 +131,8 @@ class MeshTransport:
 
     TTL = 32
 
-    def __init__(self, engine, medium, routers):
-        self.engine = engine
+    def __init__(self, medium, routers):
+        self.engine = medium.engine
         self.medium = medium
         self.routers = routers
         self.header_bits = medium.params.header_bits
@@ -170,7 +170,8 @@ class MeshTransport:
         if next_hop != dst_node:
             deliver = partial(self._forward, next_hop, dst_node, frame_bits,
                               deliver, ttl - 1)
-        self.medium.send_frame(route.link_idx, route.forward, frame_bits, deliver)
+        nl = route.nl
+        self.medium.send_frame(nl.link_idx, nl.forward, frame_bits, deliver)
 
 
 @dataclass
@@ -365,12 +366,12 @@ class Client:
     """Client-side state machine bound to an access node."""
 
     def __init__(self, client_id, attach_node, net, server: Server,
-                 params: ServiceParams, video_answer: str = "accept"):
+                 video_answer: str = "accept"):
         self.client_id = client_id
         self.attach_node = attach_node
         self.net = net
         self.server = server
-        self.params = params
+        self.params = server.params
         self.video_answer = video_answer   # one of VIDEO_ANSWERS
         self.inbox: list[Message] = []
         self.receiver_log: set = set()
@@ -412,8 +413,12 @@ class Client:
 
     def send_sms(self, dst_id, payload_bits=None, on_done=None) -> Message:
         self._require_online()
+        if payload_bits is None:
+            payload_bits = self.params.sms_bits
+        elif payload_bits <= 0:
+            raise ValueError("payload must be > 0")
         msg = Message(self._next_id("sms"), "sms", self.client_id, dst_id,
-                      payload_bits or self.params.sms_bits)
+                      payload_bits)
         self._uplink(msg, on_done)
         return msg
 
@@ -450,8 +455,8 @@ class Client:
         self._require_online()
         if dst_id not in self.server.sessions:
             raise ReceiverUnknown(dst_id)
-        if size_bits <= 0:
-            raise ValueError("size must be > 0")
+        if size_bits <= 0 or chunk_bits <= 0:
+            raise ValueError("size and chunk must be > 0")
         return FileTransfer(self, dst_id, size_bits, chunk_bits, on_done).start()
 
 
@@ -504,8 +509,6 @@ class FileTransfer:
         self.client._uplink(msg, on_uplink)
 
     def _fail(self):
-        if self.status == "failed":
-            return
         self.status = "failed"
         if self.on_done is not None:
             self.on_done(False, self.client.net.now())
@@ -514,13 +517,11 @@ class FileTransfer:
 class ServiceStack:
     """Coordinates calls, broadcasts, and video handshakes over the mesh."""
 
-    def __init__(self, net, server: Server, topo, ledger, params: ServiceParams,
-                 medium, warmup: float = 0.0):
+    def __init__(self, net, server: Server, ledger, medium, warmup: float = 0.0):
         self.net = net
         self.server = server
-        self.topo = topo
         self.ledger = ledger
-        self.params = params
+        self.params = server.params
         self.medium = medium
         self.warmup = warmup
         self.flows: list[FlowRecord] = []
@@ -530,7 +531,7 @@ class ServiceStack:
         route = self.net.routers[src_node].route_to(dst_node)
         if route is None:
             raise NoRoute(f"{src_node}->{dst_node}")
-        return [self.topo.link_between(a, b)
+        return [self.medium.topo.link_between(a, b)
                 for a, b in zip(route.path, route.path[1:])]
 
     def _endpoints(self, src_id, dst_id):

@@ -33,9 +33,7 @@ class Net:
         self.routers = {}
         ids = sorted(topo.nodes)
         for nid in ids:
-            self.routers[nid] = Router(nid, topo, self.engine, self.medium,
-                                       self.routing, elp,
-                                       is_server=topo.nodes[nid].is_server)
+            self.routers[nid] = Router(nid, self.medium, self.routing, elp)
         wire_network(self.routers, self.medium)
         step = self.routing.hello_interval / max(len(ids), 1)
         for i, nid in enumerate(ids):

@@ -161,8 +161,8 @@ def run_state(sim):
     return {
         "routers": {str(nid): {
             "events": [list(e) for e in r.events],
-            "table": [[d, t.next_hop, t.path_cost, list(t.path), t.link_idx,
-                       t.forward] for d, t in r.table.items()]}
+            "table": [[d, t.next_hop, t.path_cost, list(t.path), t.nl.link_idx,
+                       t.nl.forward] for d, t in r.table.items()]}
             for nid, r in sorted(sim.routers.items())},
         "engine": dataclasses.asdict(sim.engine.stats),
         "no_route_drops": sim.transport.no_route_drops,
@@ -177,8 +177,8 @@ def held_seq(router, kind, origin):
 
 def route_row(router, r):
     """A route's fields, and whether it is bound to its live neighbour link."""
-    return (r.dest, r.next_hop, r.path_cost, r.path, r.link_idx, r.forward,
-            r.nl is router.neighbors.get(r.next_hop, {}).get(r.link_idx))
+    return (r.dest, r.next_hop, r.path_cost, r.path, r.nl.link_idx, r.nl.forward,
+            r.nl is router.neighbors.get(r.next_hop, {}).get(r.nl.link_idx))
 
 
 class ActLog(NamedTuple):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from meshsim import preset_path
-from meshsim.errors import TooFewSamples
+from meshsim.errors import IoError, TooFewSamples
 from meshsim.harness import (ExperimentResult, Simulation, confidence_interval,
                              count_trend_violations, export, run_scenario,
                              single_run_result, sweep, t_quantile_975)
@@ -170,6 +170,25 @@ def test_sms_from_offline_client_is_skipped():
     assert [m.msg_id for m in sim.clients["cB"].inbox] == ["cA/sms/1"]
 
 
+def test_call_between_clients_of_one_node_still_pairs_two_clients():
+    # every draw of _pick_pair finds the two clients on one node; the
+    # fallback pairs them anyway, and the call's legs stay on that node
+    scn = tiny_scenario(calls=1)
+    scn = dataclasses.replace(scn, clients=[dataclasses.replace(c, attach=2)
+                                            for c in scn.clients])
+    report = run_scenario(scn, seed=1)
+    legs = sorted((f.src, f.dst) for f in report.flows)
+    assert legs == [("cA", "cB"), ("cB", "cA")]
+    assert all(f.sent > 0 and f.delivered == f.sent for f in report.flows)
+
+
+def test_one_client_workload_places_no_call():
+    scn = tiny_scenario(calls=2, bg=1)
+    sim = Simulation(dataclasses.replace(scn, clients=scn.clients[:1]), seed=1)
+    report = sim.run()
+    assert report.flows == [] and report.admission_log == []
+
+
 def test_call_setup_bug_escapes_run(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in call setup")
@@ -294,6 +313,12 @@ def test_export_csv_cells_are_plain_numbers(tmp_path):
     for row in flows:
         for cell in row[4:]:
             float(cell)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_to_a_path_that_cannot_be_opened(tmp_path, fmt):
+    with pytest.raises(IoError, match="missing"):
+        export(ExperimentResult(), fmt, tmp_path / "missing" / f"out.{fmt}")
 
 
 def test_export_unknown_format(tmp_path):

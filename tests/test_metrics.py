@@ -64,8 +64,8 @@ def lone_router(alpha=0.1, d_r=1.0):
     """Node 0 of a two-node topology with one neighbor link and no events run."""
     topo = two_node_topology()
     engine = Engine(1)
-    router = Router(0, topo, engine, Medium(topo, engine, MacParams()),
-                    RoutingParams(), ElpParams(ewma_alpha=alpha))
+    router = Router(0, Medium(topo, engine, MacParams()), RoutingParams(),
+                    ElpParams(ewma_alpha=alpha))
     nl = NeighborLink(0, True, topo.links[0].capacity, d_r=d_r)
     router.neighbors[1] = {0: nl}
     return router, nl

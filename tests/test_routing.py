@@ -252,6 +252,18 @@ def test_failure_off_route_is_bookkeeping_only():
     assert len(net.events(0, "tc_flood")) == before
 
 
+def test_failure_on_a_dropped_link_is_ignored():
+    # a second failure notice for a link its first one brought down
+    net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(5.0)
+    router = net.routers[0]
+    router.neighbors[1][0].long_term_score = 0.4
+    router.handle_tx_failure(1, 0, net.engine.now)
+    assert 1 not in router.neighbors
+    events = list(router.events)
+    router.handle_tx_failure(1, 0, net.engine.now)
+    assert router.events == events
+
+
 def test_good_link_failure_burst_suppresses_without_flood():
     net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0}).run(5.0)
     router = net.routers[0]
@@ -381,7 +393,7 @@ def test_suppressed_link_penalized_until_release():
     net = make_net(pos, overrides=ovr, suppress_duration=3.0).run(6.0)
     router = net.routers[0]
     assert router.table[2].path == (0, 2)
-    router.handle_tx_failure(2, router.table[2].link_idx, net.engine.now)
+    router.handle_tx_failure(2, router.table[2].nl.link_idx, net.engine.now)
     assert router.route_to(2).path == (0, 1, 2)
     net.run(12.0)                          # past suppression + recompute
     assert router.route_to(2).path == (0, 2)

@@ -32,7 +32,7 @@ def reference_route_to(router, dest):
             r = router.table.get(dest)
         return r
     links = router.neighbors.get(r.next_hop)
-    nl = None if links is None else links.get(r.link_idx)
+    nl = None if links is None else links.get(r.nl.link_idx)
     if nl is None or router.engine.now < nl.suppressed_until:
         router._recompute(router.engine.now)
         r = router.table.get(dest)
@@ -139,7 +139,7 @@ def reference_graph(router, now, local):
 
 
 def reference_bind(route, nl):
-    route.link_idx, route.forward, route.nl = nl.link_idx, nl.forward, nl
+    route.nl = nl
 
 
 def reference_recompute(router, now):

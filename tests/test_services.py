@@ -13,10 +13,9 @@ NODE_B = 20    # bob's attach node
 
 def make_world(loss_script=None):
     net = FakeNet(loss_script)
-    params = ServiceParams()
-    server = Server(net, SRV, params)
-    alice = Client("alice", NODE_A, net, server, params)
-    bob = Client("bob", NODE_B, net, server, params)
+    server = Server(net, SRV, ServiceParams())
+    alice = Client("alice", NODE_A, net, server)
+    bob = Client("bob", NODE_B, net, server)
     return net, server, alice, bob
 
 
@@ -59,6 +58,21 @@ def test_presence_update_for_unknown_session():
     _net, server, _alice, _bob = make_world()
     with pytest.raises(UnknownSession):
         server.presence_update("ghost", 1.0)
+
+
+def test_beacon_back_from_offline_flushes_the_queue():
+    net, server, alice, bob = make_world()
+    bob.register(t=0.0)
+    assert server.expire_stale(20.0) == ["bob"]
+    alice.register(t=20.0)
+    msg = alice.send_sms("bob")
+    net.run(5.0)
+    assert server.deliveries[msg.msg_id].phase == "queued_offline"
+    bob.start_beacons()                         # its first beacon goes now
+    net.run(10.0)
+    assert server.is_online("bob") and "bob" not in server.offline_queue
+    assert [m.msg_id for m in bob.inbox] == [msg.msg_id]
+    assert server.deliveries[msg.msg_id].phase == "delivered"
 
 
 def test_beacons_refresh_presence():
@@ -118,6 +132,22 @@ def test_sms_to_offline_recipient_queued_then_flushed():
     assert server.deliveries[msg.msg_id].phase == "delivered"
 
 
+@pytest.mark.parametrize("payload", [0.0, -5.0])
+def test_sms_payload_must_be_positive(payload):
+    net, _server, alice, _bob = make_world()
+    alice.register()
+    with pytest.raises(ValueError):
+        alice.send_sms("bob", payload)
+    assert net.sends == []
+
+
+def test_sms_payload_none_sends_the_default_size():
+    net, _server, alice, _bob = make_world()
+    alice.register()
+    assert alice.send_sms("bob").payload_size == ServiceParams().sms_bits
+    assert net.sends[0][3] == ServiceParams().sms_bits
+
+
 def test_sms_requires_online_sender():
     _net, _server, alice, _bob = make_world()
     with pytest.raises(SenderOffline):
@@ -172,6 +202,18 @@ def test_relay_leg_fails_while_recipient_stays_online():
 # -- exhaustive loss-pattern walk over one stop-and-wait leg ----------------
 
 OK, DATA_LOST, ACK_LOST = "ok", "data_lost", "ack_lost"
+
+
+def test_ack_after_the_leg_is_done_is_ignored():
+    # 1.5 s each way: the first ACK lands at 3 s, after the 2 s timeout
+    # resent the data, and the resend's ACK lands at 5 s
+    net = FakeNet(latency=1.5)
+    outcome = []
+    AckRetrySender(net, 1, 2, 1600, ServiceParams(), on_receive=lambda t: None,
+                   on_success=outcome.append).start()
+    net.run(30.0)
+    assert net.count(1, 2) == 2 and net.count(2, 1) == 2
+    assert outcome == [3.0]
 
 
 def run_leg_pattern(pattern):
@@ -264,6 +306,31 @@ def test_file_aborts_at_failed_chunk():
     chunks = [m.msg_id for m in bob.inbox if m.kind == "file_chunk"]
     assert len(chunks) == 6                 # later chunks never sent
     assert not any(m.endswith("chunk7") or m.endswith("chunk8") for m in chunks)
+
+
+def test_file_aborts_when_a_chunk_relay_fails():
+    # the uplink succeeds, every relay frame to bob is lost and bob stays
+    # online: the chunk's delivery fails and the transfer ends with it
+    net, server, alice, bob = make_world(loss_script={(SRV, NODE_B): [False] * 4})
+    alice.register()
+    bob.register()
+    done = []
+    xfer = alice.send_file("bob", 16_000, 8000, on_done=lambda ok, t: done.append(ok))
+    net.run(60.0)
+    assert (xfer.status, done, xfer.delivered_chunks) == ("failed", [False], 0)
+    assert net.count(NODE_A, SRV) == 1          # the second chunk never left
+    assert server.deliveries[f"{xfer._transfer_id}/chunk0"].phase == "failed"
+
+
+@pytest.mark.parametrize("chunk", [-8000, 0])
+def test_file_chunk_must_be_positive(chunk):
+    net, _server, alice, bob = make_world()
+    alice.register()
+    bob.register()
+    done = []
+    with pytest.raises(ValueError):
+        alice.send_file("bob", 64_000, chunk, on_done=lambda ok, t: done.append(ok))
+    assert (net.sends, done) == ([], [])
 
 
 def test_file_to_unknown_receiver():

@@ -15,14 +15,13 @@ from conftest import FakeNet, make_net
 from runstate import service_scenario
 
 
-def make_stack(n_clients=2, attach=0):
+def make_stack(n_clients=2, attach=0, params=None):
     net = FakeNet()
-    params = ServiceParams()
-    server = Server(net, 0, params)
-    stack = ServiceStack(net, server, None, None, params, medium=None)
+    server = Server(net, 0, params or ServiceParams())
+    stack = ServiceStack(net, server, None, None)
     clients = []
     for i in range(n_clients):
-        c = Client(f"c{i}", attach, net, server, params)
+        c = Client(f"c{i}", attach, net, server)
         c.register()
         clients.append(c)
     return net, server, stack, clients
@@ -164,6 +163,17 @@ def test_video_no_answer_times_out():
     assert [f for f in stack.flows if f.kind == "video"] == []
 
 
+def test_video_answer_after_the_timeout_is_ignored():
+    # the accept leaves 12 s after the request, 2 s past the timeout
+    net, _server, stack, _clients = make_stack(
+        params=ServiceParams(video_answer_delay=12.0))
+    req = stack.request_video("c0", "c1", duration=3.0)
+    net.run(30.0)
+    assert net.count(0, 0) == 2                 # request and the late accept
+    assert req.result == "timeout"
+    assert [f for f in stack.flows if f.kind == "video"] == []
+
+
 def test_video_opens_at_attach_node_of_answer_time():
     # node 3 is out of everyone's range; c2 moves there after the request
     # went out, so the stream opens toward node 3, finds no route and the
@@ -235,7 +245,7 @@ def test_ttl_expiry_counts_as_a_drop():
     net = make_net([(0, 0), (30, 0), (60, 0)], overrides={(0, 1): 1.0, (1, 2): 1.0})
     net.run(8.0)
     assert net.routers[0].table[2].path == (0, 1, 2)
-    transport, arrived = MeshTransport(net.engine, net.medium, net.routers), []
+    transport, arrived = MeshTransport(net.medium, net.routers), []
     transport._forward(0, 2, 1000, arrived.append, 1)
     net.run(9.0)
     assert (transport.no_route_drops, arrived) == (1, [])
