@@ -63,13 +63,22 @@ def t_quantile_975(df: int) -> float:
             hi = mid
 
 
+def _sum(values) -> float:
+    """values added left to right: the built-in sum() compensates float
+    rounding from Python 3.12 on, which would change exports' last digits."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def confidence_interval(samples):
     """Student-t 95% (mean, half_width) for a small sample."""
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need >= 2 samples, got {n}")
-    mean = sum(samples) / n
-    var = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    mean = _sum(samples) / n
+    var = _sum((x - mean) ** 2 for x in samples) / (n - 1)
     return mean, t_quantile_975(n - 1) * math.sqrt(var / n)
 
 
@@ -103,7 +112,7 @@ class MetricsReport:
             if f.delivered:
                 vals["delay"].append(f.mean_delay)
                 vals["jitter"].append(f.jitter)
-        return {k: (sum(v) / len(v) if v else float("nan")) for k, v in vals.items()}
+        return {k: (_sum(v) / len(v) if v else float("nan")) for k, v in vals.items()}
 
 
 class Simulation:

@@ -185,21 +185,14 @@ class Router:
                 nl.heard_since_tick = False
                 if (nl.last_heard >= 0 and now - nl.last_heard > hold
                         and now >= nl.suppressed_until):
-                    silent.append((nbr_id, li, nl))
-        for nbr_id, li, nl in silent:
-            if (p.maintenance and nl.long_term_score >= p.long_term_threshold
-                    and self._suppression_allowed(nl, now)):
-                self._suppress(nbr_id, nl, now, "missed hellos")
-            else:
-                del ratios[li]
-                self._drop_neighbor_link(nbr_id, li, now, "neighbor_lost")
-        self.emit_hello(ratios)
-        self.engine.schedule(now + p.hello_interval, self._hello_tick)
-
-    def emit_hello(self, ratios):
+                    silent.append((nbr_id, nl))
+        for nbr_id, nl in silent:
+            if self._troubled(nbr_id, nl, now, "missed hellos", "neighbor_lost"):
+                del ratios[nl.link_idx]
         msg = {"type": "hello", "origin": self.node_id, "ratios": ratios}
-        self.medium.broadcast(self.node_id, self.params.control_bits,
+        self.medium.broadcast(self.node_id, p.control_bits,
                               partial(_deliver_hello, self.peers, msg))
+        self.engine.schedule(now + p.hello_interval, self._hello_tick)
 
     def process_hello(self, msg, link_idx: int, t: float):
         origin = msg["origin"]
@@ -228,8 +221,7 @@ class Router:
         if not self.neighbors[nbr_id]:
             del self.neighbors[nbr_id]
         self.log("link_down", f"nbr={nbr_id} link={link_idx} {reason}")
-        self.dirty = True
-        self.flood_tc(reason=reason)
+        self.flood_tc(reason)
         self._recompute(now)
 
     # -- link costs ------------------------------------------------------
@@ -280,13 +272,13 @@ class Router:
     # -- TC / HNA flooding ----------------------------------------------
 
     def _tc_tick(self):
-        self.flood_tc(reason="periodic")
+        self.flood_tc("periodic")
         if self.is_server:
             self._originate("hna")
         self.engine.schedule(self.engine.now + self.params.tc_interval,
                              self._tc_tick)
 
-    def flood_tc(self, reason="periodic"):
+    def flood_tc(self, reason):
         links = {nbr: cost for nbr, (cost, _nl)
                  in self._local_links(self.engine.now, advertise=True).items()}
         self.log("tc_flood", reason)
@@ -386,6 +378,18 @@ class Router:
 
     # -- route maintenance ----------------------------------------------
 
+    def _troubled(self, nbr_id, nl: NeighborLink, now, why, reason) -> bool:
+        """Suppress a troubled link if the maintainer is on, its long-term
+        score reaches the threshold and its strike window has room; else
+        drop it. True if it was dropped."""
+        p = self.params
+        if (p.maintenance and nl.long_term_score >= p.long_term_threshold
+                and self._suppression_allowed(nl, now)):
+            self._suppress(nbr_id, nl, now, why)
+            return False
+        self._drop_neighbor_link(nbr_id, nl.link_idx, now, reason)
+        return True
+
     def _suppression_allowed(self, nl: NeighborLink, now) -> bool:
         w = self.params.strike_window
         while nl.suppression_times and now - nl.suppression_times[0] > w:
@@ -396,7 +400,6 @@ class Router:
         nl.suppressed_until = now + self.params.suppress_duration
         nl.suppression_times.append(now)
         self.log("suppress", f"nbr={nbr_id} link={nl.link_idx} ({why})")
-        self.dirty = True
         self._recompute(now)
         self.engine.schedule(nl.suppressed_until + 1e-6,
                              lambda: self._unsuppress(nbr_id, nl))
@@ -408,7 +411,6 @@ class Router:
         if self.neighbors.get(nbr_id, {}).get(nl.link_idx) is not nl:
             return                             # dropped while suppressed
         self.log("unsuppress", f"nbr={nbr_id} link={nl.link_idx}")
-        self.dirty = True
         hold = self.params.hold_multiplier * self.params.hello_interval
         if nl.last_heard < 0 or now - nl.last_heard > hold:
             # the grace period is over and the link is still silent: dead
@@ -418,7 +420,7 @@ class Router:
             self._recompute(now)
 
     def handle_tx_failure(self, neighbor: int, link_idx: int, t: float):
-        """MAC reported 8 consecutive failed attempts toward a neighbor."""
+        """MAC gave up a frame toward a neighbor after retry_limit attempts."""
         p = self.params
         nl = self.neighbors.get(neighbor, {}).get(link_idx)
         if nl is None:
@@ -429,16 +431,8 @@ class Router:
         if not on_route:
             self.log("tx_failure", f"nbr={neighbor} link={link_idx} off-route")
             return
-        if not p.maintenance:
-            self._drop_neighbor_link(neighbor, link_idx, t, "tx_failure")
-            return
-        if t < nl.suppressed_until:
-            return
-        if (nl.long_term_score >= p.long_term_threshold
-                and self._suppression_allowed(nl, t)):
-            self._suppress(neighbor, nl, t, "tx failure burst")
-        else:
-            self._drop_neighbor_link(neighbor, link_idx, t, "tx_failure")
+        if t >= nl.suppressed_until:           # never suppressed if maintenance is off
+            self._troubled(neighbor, nl, t, "tx failure burst", "tx_failure")
 
 
 # a HELLO's or a flood copy's arrivals at one instant, in fan-out order

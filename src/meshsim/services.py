@@ -42,6 +42,9 @@ class ServiceParams:
     def __post_init__(self):
         check_ranges(self, nonnegative=("video_answer_delay",),
                      positive=[k for k in vars(self) if k != "video_answer_delay"])
+        if self.video_answer_delay >= self.video_answer_timeout:
+            raise ValueError(f"video_answer_delay ({self.video_answer_delay}) must be "
+                             f"below video_answer_timeout ({self.video_answer_timeout})")
 
 
 @dataclass

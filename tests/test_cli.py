@@ -148,6 +148,20 @@ def test_stream_rate_above_floor_is_one_scenario_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_late_video_answer_is_one_scenario_error(tmp_path):
+    path = write_tiny(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["protocol"] = {"services": {"video_answer_delay": 10.0,
+                                    "video_answer_timeout": 10.0}}
+    path.write_text(yaml.safe_dump(raw))
+    proc = _cli(["run", str(path), "--seed", "1"])
+    assert proc.returncode == 1
+    assert proc.stderr.count("scenario error") == 1
+    assert "protocol.services: video_answer_delay" in proc.stderr
+    assert "video_answer_timeout" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("action,path", [
     ({"kind": "sms", "src": "cA", "dst": "cB", "duration": 5.0},
      "workload.actions[0].duration: unknown key"),

@@ -12,9 +12,10 @@ import yaml
 
 from meshsim import preset_path
 from meshsim.errors import IoError, TooFewSamples
-from meshsim.harness import (ExperimentResult, Simulation, confidence_interval,
-                             count_trend_violations, export, run_scenario,
-                             single_run_result, sweep, t_quantile_975)
+from meshsim.engine import EngineStats
+from meshsim.harness import (ExperimentResult, MetricsReport, Simulation,
+                             confidence_interval, count_trend_violations, export,
+                             run_scenario, single_run_result, sweep, t_quantile_975)
 from meshsim.scenario import Scenario
 from meshsim.services import FlowRecord, ServiceStack
 
@@ -80,6 +81,21 @@ def test_confidence_interval_degenerate_cases():
     assert (mean, half) == (2.0, 0.0)
     with pytest.raises(TooFewSamples):
         confidence_interval([1.0])
+
+
+def test_means_add_left_to_right_on_every_python():
+    # compensated summation (the built-in sum() from Python 3.12 on) gives
+    # 1/3 here; adding left to right loses the 1.0 and gives 0.0
+    parted = [1e100, 1.0, -1e100]
+    mean, _half = confidence_interval(parted)
+    assert mean == 0.0
+    flows = [FlowRecord(f"f{i}", "voice", "a", "b", sent=1, delivered=1,
+                        delay_sum=x, jitter=x) for i, x in enumerate(parted)]
+    agg = MetricsReport(flows, [], 0, EngineStats()).aggregate()
+    assert agg["delay"] == 0.0 and agg["jitter"] == 0.0
+    # ten tenths: 0.9999999999999999 left to right, 1.0 compensated
+    mean, _half = confidence_interval([0.1] * 10)
+    assert mean == 0.9999999999999999 / 10
 
 
 # Student-t 0.975 quantiles as printed by scipy 1.17.1 (scipy.stats.t.ppf)

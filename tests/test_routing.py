@@ -1,4 +1,6 @@
 import heapq
+import math
+from collections import deque
 from functools import partial
 
 import pytest
@@ -310,6 +312,53 @@ def test_strikes_older_than_the_window_are_forgotten():
     assert len(net.events(0, "suppress")) == 3
     assert not net.events(0, "link_down")
     assert list(nl.suppression_times) == [now]
+
+
+# the maintainer's rule for a troubled link, one row per input it reads:
+# (maintenance on, the score the rule reads is at long_term_threshold
+# rather than just below it, the strike window has room, the link's fate)
+TROUBLE_RULE = [
+    (True, True, True, "suppress"),
+    (True, True, False, "link_down"),
+    (True, False, True, "link_down"),
+    (True, False, False, "link_down"),
+    (False, True, True, "link_down"),
+    (False, True, False, "link_down"),
+    (False, False, True, "link_down"),
+    (False, False, False, "link_down"),
+]
+
+
+@pytest.mark.parametrize("maintenance, at_threshold, room, fate", TROUBLE_RULE)
+def test_silence_and_tx_failure_share_one_rule(maintenance, at_threshold, room, fate):
+    """A link silent past the hold and an on-route tx failure burst meet the
+    same fate, logged with their own why or reason, and leave the same
+    strikes behind."""
+    strikes = {}
+    for trigger, why, reason in (("hello", "missed hellos", "neighbor_lost"),
+                                 ("tx", "tx failure burst", "tx_failure")):
+        net = make_net([(0, 0), (10, 0)], overrides={(0, 1): 1.0},
+                       maintenance=maintenance, max_suppressions=2).run(5.0)
+        router, now = net.routers[0], net.engine.now
+        p, nl = router.params, router.neighbors[1][0]
+        nl.long_term_score = 0.8
+        # a tx failure decays the score before the rule reads it
+        score = (1 - p.long_term_alpha) * 0.8 if trigger == "tx" else 0.8
+        p.long_term_threshold = score if at_threshold else math.nextafter(score, 1.0)
+        # two strikes fill the window; one older than the window leaves room
+        nl.suppression_times = deque([now - (61.0 if room else 1.0), now - 0.5])
+        before = len(router.events)
+        if trigger == "hello":
+            nl.last_heard = now - p.hold_multiplier * p.hello_interval - 0.01
+            router._hello_tick()
+        else:
+            router.handle_tx_failure(1, 0, now)
+        acts = [(kind, info) for (_t, kind, info) in router.events[before:]
+                if kind in ("suppress", "link_down")]
+        info = f"({why})" if fate == "suppress" else reason
+        assert acts == [(fate, f"nbr=1 link=0 {info}")], trigger
+        strikes[trigger] = (now, list(nl.suppression_times))
+    assert strikes["hello"] == strikes["tx"]
 
 
 def test_expired_tc_entry_is_left_out_of_the_graph():

@@ -448,6 +448,21 @@ def test_huge_background_voice_rate_is_rejected():
     assert exc.value.problems[0].startswith("protocol.services.voice_rate")
 
 
+def test_video_answer_that_can_never_arrive_in_time_is_rejected():
+    # outdoor7 with every video answer sent 2 s after the request gave up
+    with open(preset_path("outdoor7")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["protocol"]["services"].update(video_answer_delay=12.0,
+                                       video_answer_timeout=10.0)
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    problem, = exc.value.problems
+    assert problem.startswith("protocol.services: ")
+    assert "video_answer_delay" in problem and "video_answer_timeout" in problem
+    raw["protocol"]["services"]["video_answer_delay"] = 9.5
+    assert Scenario.from_dict(raw).services.video_answer_delay == 9.5
+
+
 @pytest.mark.parametrize("content", [b"run: \x80\x81\n", None],
                          ids=["bad-utf8", "directory"])
 def test_unreadable_file_is_parse_error(tmp_path, content):

@@ -15,9 +15,9 @@ from conftest import FakeNet, make_net
 from runstate import service_scenario
 
 
-def make_stack(n_clients=2, attach=0, params=None):
+def make_stack(n_clients=2, attach=0):
     net = FakeNet()
-    server = Server(net, 0, params or ServiceParams())
+    server = Server(net, 0, ServiceParams())
     stack = ServiceStack(net, server, None, None)
     clients = []
     for i in range(n_clients):
@@ -164,9 +164,10 @@ def test_video_no_answer_times_out():
 
 
 def test_video_answer_after_the_timeout_is_ignored():
-    # the accept leaves 12 s after the request, 2 s past the timeout
-    net, _server, stack, _clients = make_stack(
-        params=ServiceParams(video_answer_delay=12.0))
+    # every send takes 6 s: the request lands at 6 s, the accept leaves
+    # 0.5 s later and lands at 12.5 s, 2.5 s past the 10 s timeout
+    net, _server, stack, _clients = make_stack()
+    net.latency = 6.0
     req = stack.request_video("c0", "c1", duration=3.0)
     net.run(30.0)
     assert net.count(0, 0) == 2                 # request and the late accept
