@@ -102,8 +102,7 @@ def main(argv=None) -> int:
 
     try:
         stem = os.path.splitext(os.path.basename(args.scenario))[0]
-        ext = "csv" if args.format == "csv" else "json"
-        out_path = os.path.join(args.out, f"{stem}.{ext}")
+        out_path = os.path.join(args.out, f"{stem}.{args.format}")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:

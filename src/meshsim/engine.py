@@ -137,8 +137,9 @@ class Medium:
     Links that sense equal slot lists share a domain and its airtime sum,
     memoized with the _epoch that every booking and bucket rotation bumps:
     busy_fraction reuses it, the float a re-sum gives, while _epoch holds.
-    A link's busy fraction is reused for BUSY_CACHE_S. Routers, the transport
-    and the service stack read the run's topology and engine from here.
+    A link's busy fraction is reused for BUSY_CACHE_S; transmit and the
+    routers read it only through busy_fraction. Routers, the transport and
+    the service stack read the run's topology and engine from here.
     """
 
     BUCKETS = 5
@@ -147,8 +148,7 @@ class Medium:
         self.topo = topo
         self.engine = engine
         self.params = params or MacParams()
-        self._rng = engine.rng("mac")
-        self._random = self._rng.random
+        self._random = engine.rng("mac").random
         # enumerate (node, channel) transmitter slots
         self._slot_of: dict[tuple[int, int], int] = {}
         for nid in sorted(topo.nodes):
@@ -239,11 +239,7 @@ class Medium:
         d = 2 * link_idx + (not forward)
         p = self._p[d]
         air = frame_size / capacity[link_idx]
-        # busy_fraction's cache check, inlined: most frames hit the cache
-        if self.engine.now - self._busy_cache_t[link_idx] < BUSY_CACHE_S:
-            b = self._busy_cache[link_idx]
-        else:
-            b = self.busy_fraction(link_idx)
+        b = self.busy_fraction(link_idx)
         params = self.params
         base = params.base_access_delay
         rate = (1.0 - b) / base

@@ -1,14 +1,18 @@
 """Exception hierarchy shared across the simulator, and a range check."""
 
 
-def check_ranges(obj, positive=(), nonnegative=()):
-    """Raise ValueError for the first named attribute of obj out of range."""
+def check_ranges(obj, positive=(), nonnegative=(), unit=()):
+    """Raise ValueError for the first named attribute of obj out of range:
+    positive ones must be > 0, nonnegative ones >= 0 and unit ones in (0, 1]."""
     for name in positive:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be > 0, got {getattr(obj, name)!r}")
     for name in nonnegative:
         if not getattr(obj, name) >= 0:
             raise ValueError(f"{name} must be >= 0, got {getattr(obj, name)!r}")
+    for name in unit:
+        if not 0 < getattr(obj, name) <= 1:
+            raise ValueError(f"{name} must be in (0, 1], got {getattr(obj, name)!r}")
 
 
 class MeshSimError(Exception):

@@ -28,9 +28,7 @@ class ElpParams:
     def __post_init__(self):
         if not 0.5 < self.w <= 1.0:
             raise ValueError(f"w must be in (0.5, 1], got {self.w}")
-        check_ranges(self, positive=("ref_rate",))
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+        check_ranges(self, positive=("ref_rate",), unit=("ewma_alpha",))
 
 
 def elp_link(d_f: float, d_r: float, busy: float, capacity: float,

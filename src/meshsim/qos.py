@@ -49,7 +49,7 @@ class QosParams:
     goodput_factor: float = 0.8       # usable share of a link's capacity
 
     def __post_init__(self):
-        check_ranges(self, positive=("goodput_factor",))
+        check_ranges(self, positive=("goodput_factor",), unit=("u_max",))
 
 
 def flow_airtime(flow: FlowSpec, link, goodput_factor: float) -> float:

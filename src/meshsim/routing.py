@@ -39,12 +39,17 @@ class RoutingParams:
     def __post_init__(self):
         check_ranges(self, positive=("hello_interval", "tc_interval", "hold_multiplier",
                                      "recompute_interval", "control_bits"),
-                     nonnegative=("suppress_duration",))
+                     nonnegative=("suppress_duration", "max_suppressions",
+                                  "strike_window"), unit=("long_term_alpha",))
+        if not 0.0 <= self.hysteresis < 1.0:
+            raise ValueError(f"hysteresis must be in [0, 1), got {self.hysteresis!r}")
+        if not 0.0 <= self.long_term_threshold <= 1.0:
+            raise ValueError(f"long_term_threshold must be in [0, 1], "
+                             f"got {self.long_term_threshold!r}")
 
 
 @dataclass(slots=True)
 class Route:
-    dest: int
     next_hop: int
     path_cost: float
     path: tuple[int, ...]
@@ -88,7 +93,7 @@ def compute_routes(graph: dict[int, dict[int, float]], source: int) -> dict[int,
             continue
         settled.add(u)
         if u != source:
-            table[u] = Route(u, path[1], cost, path)
+            table[u] = Route(path[1], cost, path)
         n = hops + 1
         for v, c in graph.get(u, _NO_LINKS).items():
             if v in settled:
@@ -121,9 +126,9 @@ class NeighborLink:
     link_idx: int
     forward: bool                     # our transmit direction on the link
     capacity: float
+    last_heard: float                 # arrival time of its latest HELLO
     d_f: float = 1.0                  # delivery ratio us -> neighbor, as reported
     d_r: float = 1.0                  # delivery ratio neighbor -> us, EWMA of HELLOs
-    last_heard: float = -1.0
     heard_since_tick: bool = False
     reported: bool = False            # neighbor has reported hearing us
     long_term_score: float = 1.0
@@ -183,8 +188,7 @@ class Router:
                 x = 1.0 if nl.heard_since_tick else 0.0
                 ratios[li] = nl.d_r = (1.0 - alpha) * nl.d_r + alpha * x
                 nl.heard_since_tick = False
-                if (nl.last_heard >= 0 and now - nl.last_heard > hold
-                        and now >= nl.suppressed_until):
+                if now - nl.last_heard > hold and now >= nl.suppressed_until:
                     silent.append((nbr_id, nl))
         for nbr_id, nl in silent:
             if self._troubled(nbr_id, nl, now, "missed hellos", "neighbor_lost"):
@@ -203,7 +207,7 @@ class Router:
         if nl is None:
             link = self.medium.topo.links[link_idx]
             forward = link.src == self.node_id     # our data direction on this link
-            nl = links[link_idx] = NeighborLink(link_idx, forward, link.capacity)
+            nl = links[link_idx] = NeighborLink(link_idx, forward, link.capacity, t)
             self.dirty = True
         nl.last_heard = t
         nl.heard_since_tick = True
@@ -250,8 +254,7 @@ class Router:
             for nl in (links.values() if len(links) == 1
                        else map(links.__getitem__, sorted(links))):
                 suppressed = now < nl.suppressed_until
-                if not suppressed and not (nl.reported and nl.last_heard >= 0
-                                           and now - nl.last_heard <= hold):
+                if not suppressed and not (nl.reported and now - nl.last_heard <= hold):
                     continue                   # neither alive nor held
                 if hop_count:
                     cost = 1.0
@@ -412,7 +415,7 @@ class Router:
             return                             # dropped while suppressed
         self.log("unsuppress", f"nbr={nbr_id} link={nl.link_idx}")
         hold = self.params.hold_multiplier * self.params.hello_interval
-        if nl.last_heard < 0 or now - nl.last_heard > hold:
+        if now - nl.last_heard > hold:
             # the grace period is over and the link is still silent: dead
             self._drop_neighbor_link(nbr_id, nl.link_idx, now,
                                      "suppression_expired")

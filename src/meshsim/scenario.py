@@ -69,8 +69,9 @@ def _value(value, hint, path, problems):
 
     A dataclass hint builds that dataclass from a mapping. Numbers must be
     finite, an int passes where a float is expected, and a bool passes only
-    where a bool is expected. Bad items of a variable-length list or tuple
-    are reported and dropped.
+    where a bool is expected. Bad items of a list or tuple are reported and
+    dropped; a fixed-length one short of an item is never used, as only a
+    dataclass field has that type and _params then builds no dataclass.
     """
     if dataclasses.is_dataclass(hint):
         built = _params(hint, value, path, problems)
@@ -86,8 +87,6 @@ def _value(value, hint, path, problems):
             not fixed_len or len(value) == len(args)):
         items = [_value(v, args[0], f"{path}[{i}]", problems)
                  for i, v in enumerate(value)]
-        if fixed_len and any(v is _BAD for v in items):
-            return _BAD
         return origin(v for v in items if v is not _BAD)
     if origin is None and isinstance(value, bool) == (hint is bool):
         if hint is float and isinstance(value, int):
@@ -281,17 +280,13 @@ def _build(raw, name) -> Scenario:
             linked.append((path, a, b, ov.get("channel")))
         problems.extend(f"{path}.{p}: must be in [0, 1], got {ov[p]!r}"
                         for p in ("p", "p_fwd", "p_rev") if not 0 <= ov.get(p, 0) <= 1)
-        lo, hi = min(a, b), max(a, b)
-        key = (lo, hi, ov["channel"]) if "channel" in ov else (lo, hi)
+        key = (a, b, ov["channel"]) if "channel" in ov else (a, b)
         if "p" in ov and ("p_fwd" in ov or "p_rev" in ov):
             problems.append(f"{path}: gives p and p_fwd/p_rev; give p, or "
                             f"p_fwd and p_rev")
-        elif "p" in ov:
-            overrides[key] = ov["p"]
-        elif "p_fwd" in ov and "p_rev" in ov:
-            # p_fwd refers to the a -> b direction; links store low -> high
-            p_ab, p_ba = ov["p_fwd"], ov["p_rev"]
-            overrides[key] = (p_ab, p_ba) if a == lo else (p_ba, p_ab)
+        elif "p" in ov or ("p_fwd" in ov and "p_rev" in ov):
+            overrides.pop(key, None)     # re-inserted last: build_topology lets it win
+            overrides[key] = ov["p"] if "p" in ov else (ov["p_fwd"], ov["p_rev"])
         else:
             problems.append(f"{path}: needs p, or p_fwd and p_rev")
 

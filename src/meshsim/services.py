@@ -343,8 +343,7 @@ class Server:
         def on_fail(t):
             state.retries_used = sender.transmissions - 1
             if not self.is_online(msg.final_dst):
-                state.phase = "queued_offline"
-                self.offline_queue.setdefault(msg.final_dst, []).append(msg)
+                self._dispatch(msg)            # queues it until the recipient is back
             else:
                 state.phase = "failed"
                 self._notify_sender(msg, "failed")

@@ -135,14 +135,17 @@ def build_topology(nodes, overrides=None, deletions=None,
                    propagation: PropagationModel | None = None) -> Topology:
     """Derive the link set from node placement.
 
-    overrides: {(a, b) or (a, b, channel): (p_fwd, p_rev)} with a < b;
-    an entry with a single float applies symmetrically. deletions: iterable
-    of (a, b) or (a, b, channel) pairs to drop (terrain, obstacles).
+    overrides: {(a, b) or (a, b, channel): (p_fwd, p_rev)}, a and b in
+    either order, p_fwd the odds of the a -> b direction; an entry with a
+    single float applies symmetrically. Of two keys naming the same pair
+    (and channel), the later in iteration order wins. deletions: iterable
+    of (a, b) or (a, b, channel) pairs to drop (terrain, obstacles), in
+    either order.
     """
     nodes = sorted(nodes, key=lambda n: n.id)
     _validate_nodes(nodes)
     prop = propagation or PropagationModel()
-    overrides = dict(overrides or {})
+    overrides = {_norm_pair(k): _odds(k, ov) for k, ov in (overrides or {}).items()}
     deletions = {_norm_pair(d) for d in (deletions or ())}
 
     by_id = {n.id: n for n in nodes}
@@ -167,13 +170,7 @@ def build_topology(nodes, overrides=None, deletions=None,
                     if d > min(ra.tx_range, rb.tx_range):
                         continue
                     p = prop.delivery_probability(d, min(ra.tx_range, rb.tx_range))
-                    p_fwd = p_rev = p
-                    ov = overrides.get(key3, overrides.get((a, b)))
-                    if ov is not None:
-                        if isinstance(ov, (int, float)):
-                            p_fwd = p_rev = float(ov)
-                        else:
-                            p_fwd, p_rev = float(ov[0]), float(ov[1])
+                    p_fwd, p_rev = overrides.get(key3, overrides.get((a, b), (p, p)))
                     if not (0.0 <= p_fwd <= 1.0 and 0.0 <= p_rev <= 1.0):
                         raise ValidationError(
                             [f"link {a}<->{b} ch{ra.channel}: probability outside [0,1]"])
@@ -207,6 +204,12 @@ def build_topology(nodes, overrides=None, deletions=None,
         domains.append(sorted(set().union(*[incident[(nid, link.channel)]
                                             for nid in heard])))
     return Topology(by_id, links, adjacency, sensed, domains)
+
+
+def _odds(key, ov) -> tuple[float, float]:
+    """An override as (p low -> high, p high -> low), as links store it."""
+    fwd, rev = (ov, ov) if isinstance(ov, (int, float)) else ov
+    return (float(fwd), float(rev)) if key[0] < key[1] else (float(rev), float(fwd))
 
 
 def _norm_pair(d):

@@ -176,8 +176,9 @@ def held_seq(router, kind, origin):
 
 
 def route_row(router, r):
-    """A route's fields, and whether it is bound to its live neighbour link."""
-    return (r.dest, r.next_hop, r.path_cost, r.path, r.nl.link_idx, r.nl.forward,
+    """A route's destination (its path's last node), its fields, and whether
+    it is bound to its live neighbour link."""
+    return (r.path[-1], r.next_hop, r.path_cost, r.path, r.nl.link_idx, r.nl.forward,
             r.nl is router.neighbors.get(r.next_hop, {}).get(r.nl.link_idx))
 
 

@@ -55,13 +55,12 @@ def test_parse_range_forms():
     ["sweep", "--calls", "1", "--bg", "1..2..0"],
     ["sweep", "--calls", "1", "--bg", "1", "--seeds", "0"],
 ])
-def test_bad_range_is_one_scenario_error(tmp_path, args):
+def test_bad_range_is_one_scenario_error(tmp_path, capsys, args):
     path = write_tiny(tmp_path)
     out_dir = tmp_path / "out"
-    proc = _cli([args[0], str(path), *args[1:], "--out", str(out_dir)])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("scenario error: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert main([args[0], str(path), *args[1:], "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
     assert not out_dir.exists()            # nothing run, nothing written
 
 
@@ -121,6 +120,25 @@ def test_validate_out_of_range_value_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "scenario error" in proc.stderr and "protocol.elp" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("section,key,value,problem", [
+    ("routing", "hysteresis", 5.0, "hysteresis must be in [0, 1), got 5.0"),
+    ("routing", "long_term_alpha", 0.0, "long_term_alpha must be in (0, 1], got 0.0"),
+    ("routing", "long_term_threshold", -2.0,
+     "long_term_threshold must be in [0, 1], got -2.0"),
+    ("routing", "max_suppressions", -1, "max_suppressions must be >= 0, got -1"),
+    ("routing", "strike_window", -5.0, "strike_window must be >= 0, got -5.0"),
+    ("qos", "u_max", 7.0, "u_max must be in (0, 1], got 7.0"),
+])
+def test_knob_out_of_range_is_one_scenario_error(tmp_path, capsys, section, key,
+                                                 value, problem):
+    path = write_tiny(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["protocol"] = {section: {key: value}}
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"scenario error: protocol.{section}: {problem}\n"
 
 
 def test_timer_below_floor_is_one_scenario_error(tmp_path):

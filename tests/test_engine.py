@@ -237,7 +237,7 @@ def test_broadcast_wanted_skips_arrivals_but_not_airtime_or_draws():
         eng.run_until(1.0)
         for i in range(20):
             instants += len({t for (j, _nbr, t) in got if j == i})
-        runs.append(((med._rng.getstate(), list(med._win_air), eng.stats.frames_sent),
+        runs.append(((eng.rng("mac").getstate(), list(med._win_air), eng.stats.frames_sent),
                      [(nbr, t) for (_i, nbr, t) in got], scheduled, instants))
     (state, got, scheduled, instants), (state_w, got_w, scheduled_w, instants_w) = runs
     assert state_w == state                # same coins, airtime and frame count

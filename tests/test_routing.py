@@ -117,7 +117,7 @@ def reference_compute_routes(graph, source):
     for dest, (cost, _hops, path) in settled.items():
         if dest == source:
             continue
-        table[dest] = Route(dest, path[1], cost, path)
+        table[dest] = Route(path[1], cost, path)
     return table
 
 
@@ -157,7 +157,7 @@ def test_compute_routes_matches_reference(case):
 # -- hysteresis -------------------------------------------------------------
 
 def _route(cost):
-    return Route(9, 1, cost, (0, 1, 9))
+    return Route(1, cost, (0, 1, 9))
 
 
 def test_switch_hysteresis_thresholds():

@@ -145,6 +145,14 @@ def test_loaded_action_carries_every_key_of_its_kind(kind):
     ({"kind": "video_request", "src": "c1", "dst": "c2", "response": "maybe"},
      "workload.actions[0].response: must be one of accept, decline, none, "
      "got 'maybe'"),
+    ({"kind": "sms", "src": "c1", "dst": "c2", "size": 0},
+     "workload.actions[0].size: must be > 0, got 0.0"),
+    ({"kind": "file", "src": "c1", "dst": "c2", "size": 800.0, "chunk_size": 0},
+     "workload.actions[0].chunk_size: must be > 0, got 0.0"),
+    ({"kind": "call", "src": "c1", "dst": "c2", "duration": 0},
+     "workload.actions[0].duration: must be > 0, got 0.0"),
+    ({"kind": "attach", "client": "c1", "node": 0, "at": -1},
+     "workload.actions[0].at: must be >= 0, got -1.0"),
 ])
 def test_bad_action_is_one_problem(action, problem):
     with pytest.raises(ValidationError) as exc:
@@ -215,6 +223,10 @@ def test_node_without_radios_is_reported_with_its_path():
      "[a, b, channel]"),
     ("link_deletions", [4, "x"], "topology.link_deletions[1][1]: expected int, "
      "got 'x'"),
+    ("link_overrides", 5, "topology.link_overrides[1]: expected a mapping, got 5"),
+    ("link_overrides", {"a": 0, "p": 0.5}, "topology.link_overrides[1]: missing key 'b'"),
+    ("link_overrides", {"a": 0, "b": 5, "p_fwd": 0.5},
+     "topology.link_overrides[1]: needs p, or p_fwd and p_rev"),
 ])
 def test_bad_link_override_or_deletion_names_its_path(section, item, problem):
     raw = outdoor7()
@@ -283,6 +295,24 @@ def test_link_override_direction_normalization():
     assert link.p_deliver_rev == 0.9
 
 
+def test_last_override_of_a_pair_wins_whichever_way_round():
+    raw = minimal_dict()
+    raw["topology"]["link_overrides"] = [
+        {"a": 0, "b": 1, "p": 0.5}, {"a": 1, "b": 0, "p_fwd": 0.9, "p_rev": 0.4},
+        {"a": 0, "b": 1, "p": 0.7}]
+    link = Scenario.from_dict(raw).topology.links[0]
+    assert (link.p_deliver_fwd, link.p_deliver_rev) == (0.7, 0.7)
+    del raw["topology"]["link_overrides"][0]
+    link = Scenario.from_dict(raw).topology.links[0]
+    assert (link.p_deliver_fwd, link.p_deliver_rev) == (0.7, 0.7)
+
+
+def test_null_call_start_loads_as_none():
+    raw = minimal_dict()
+    raw["workload"]["calls"] = {"start": None}
+    assert Scenario.from_dict(raw).calls.start is None
+
+
 def test_symmetric_override_and_deletion():
     raw = minimal_dict()
     raw["topology"]["link_overrides"] = [{"a": 0, "b": 1, "p": 0.7}]
@@ -334,6 +364,17 @@ def test_every_service_param_is_a_key():
     assert svc.broadcast_packet_bits == 480
 
 
+def test_knobs_at_the_edges_of_their_ranges_load():
+    raw = outdoor7()
+    raw["protocol"]["routing"].update(hysteresis=0.0, long_term_alpha=1.0,
+                                      long_term_threshold=1.0, max_suppressions=0,
+                                      strike_window=0.0)
+    raw["protocol"]["qos"]["u_max"] = 1.0
+    scn = Scenario.from_dict(raw)
+    assert (scn.routing.hysteresis, scn.routing.long_term_threshold, scn.qos.u_max) == (
+        0.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("section, key, value, path", [
     ("protocol", "routing", {"metric": "hop_count"}, "protocol.routing.metric"),
     ("workload", "calls", {"count": "many"}, "workload.calls.count"),
@@ -348,6 +389,34 @@ def test_every_service_param_is_a_key():
     ("workload", "actions", [{"at": 1.0, "kind": "broadcast_audio", "duration": 500.0}],
      "workload.actions[0].duration"),
     ("protocol", "qos", {"goodput_factor": 0}, "protocol.qos"),
+    ("workload", "calls", {"start": -1}, "workload.calls: start must be >= 0"),
+    ("run", "warmup", -1, "run.warmup: must be >= 0, got -1.0"),
+    ("protocol", "engine", {"queue_limit": -1},
+     "protocol.engine: queue_limit must be >= 0, got -1"),
+    ("protocol", "routing", {"hysteresis": 5.0},
+     "protocol.routing: hysteresis must be in [0, 1), got 5.0"),
+    ("protocol", "routing", {"hysteresis": 1.0},
+     "protocol.routing: hysteresis must be in [0, 1), got 1.0"),
+    ("protocol", "routing", {"hysteresis": -1.0},
+     "protocol.routing: hysteresis must be in [0, 1), got -1.0"),
+    ("protocol", "routing", {"long_term_alpha": 3.0},
+     "protocol.routing: long_term_alpha must be in (0, 1], got 3.0"),
+    ("protocol", "routing", {"long_term_alpha": 0.0},
+     "protocol.routing: long_term_alpha must be in (0, 1], got 0.0"),
+    ("protocol", "routing", {"long_term_threshold": -2.0},
+     "protocol.routing: long_term_threshold must be in [0, 1], got -2.0"),
+    ("protocol", "routing", {"long_term_threshold": 1.5},
+     "protocol.routing: long_term_threshold must be in [0, 1], got 1.5"),
+    ("protocol", "routing", {"max_suppressions": -1},
+     "protocol.routing: max_suppressions must be >= 0, got -1"),
+    ("protocol", "routing", {"strike_window": -5.0},
+     "protocol.routing: strike_window must be >= 0, got -5.0"),
+    ("protocol", "qos", {"u_max": -0.5},
+     "protocol.qos: u_max must be in (0, 1], got -0.5"),
+    ("protocol", "qos", {"u_max": 0.0},
+     "protocol.qos: u_max must be in (0, 1], got 0.0"),
+    ("protocol", "qos", {"u_max": 7.0},
+     "protocol.qos: u_max must be in (0, 1], got 7.0"),
 ])
 def test_malformed_value_names_its_path(section, key, value, path):
     raw = minimal_dict()

@@ -88,6 +88,39 @@ def test_deletion_removes_link():
     assert (1, 2) in pairs
 
 
+@pytest.mark.parametrize("channel", [(), (1,)], ids=["pair", "pair-and-channel"])
+def test_override_key_may_name_the_pair_either_way(channel):
+    # p_fwd is the odds of the a -> b direction, whichever of a and b is lower
+    nodes = make_nodes([(0, 0), (10, 0)])
+
+    def odds(key, ov):
+        link, = build_topology(nodes, overrides={key + channel: ov}).links
+        return link.p_deliver_fwd, link.p_deliver_rev
+    assert odds((1, 0), (0.6, 0.3)) == odds((0, 1), (0.3, 0.6)) == (0.3, 0.6)
+    assert odds((1, 0), 0.7) == odds((0, 1), 0.7) == (0.7, 0.7)
+
+
+def test_deletion_of_one_channel_keeps_the_other():
+    r1, r6 = RadioSpec(1, 12e6, 40.0, 80.0), RadioSpec(6, 6e6, 40.0, 80.0)
+    nodes = [NodeSpec(0, (0.0, 0.0), (r1, r6)), NodeSpec(1, (10.0, 0.0), (r1, r6))]
+    assert [l.channel for l in build_topology(nodes).links] == [1, 6]
+    for d in ((0, 1, 6), (1, 0, 6)):
+        assert [l.channel for l in build_topology(nodes, deletions=[d]).links] == [1]
+
+
+def test_two_radios_on_one_channel_give_one_link():
+    r, wide = RadioSpec(1, 12e6, 40.0, 80.0), RadioSpec(1, 6e6, 60.0, 90.0)
+    nodes = [NodeSpec(0, (0.0, 0.0), (r, wide)), NodeSpec(1, (10.0, 0.0), (r, wide))]
+    link, = build_topology(nodes).links
+    assert (link.src, link.dst, link.channel, link.capacity) == (0, 1, 1, 12e6)
+
+
+def test_position_must_be_finite():
+    r = RadioSpec(1, 12e6, 40.0, 80.0)
+    with pytest.raises(ValueError, match=r"position must be finite, got \(inf, 0.0\)"):
+        NodeSpec(0, (math.inf, 0.0), (r,))
+
+
 def test_link_between_unknown_pair():
     topo = build_topology(make_nodes([(0, 0), (10, 0)]))
     with pytest.raises(UnknownLink):

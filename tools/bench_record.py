@@ -44,9 +44,10 @@ COMMAND = ["perfbench/run.py", "--seconds", str(SECONDS), "--trace", "0"]
 TRACE_COMMAND = ["perfbench/run.py", "--seconds", "10", "--trace", "1"]
 
 
-def _run(command: list[str], workload: str, seed: int) -> list[str]:
+def _run(command: list[str], workload: str, seed: int,
+         checkout: Path = ROOT) -> list[str]:
     cmd = [sys.executable, *command, "--workload", workload, "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
     return proc.stdout.strip().splitlines()
 
@@ -60,10 +61,12 @@ def traced_counts(workload: str, seed: int) -> dict:
                        if m["unit"] == "count"}}
 
 
-def run_one(workload: str, seed: int) -> tuple[dict, dict]:
-    """One timed benchmark run: its metric values, correctness and digests,
-    and the metrics' units; then one traced run for the counts."""
-    lines = _run(COMMAND, workload, seed)
+def run_one(workload: str, seed: int, checkout: Path = ROOT,
+            traced: bool = True) -> tuple[dict, dict]:
+    """One timed benchmark run in checkout: its metric values, correctness
+    and digests, and the metrics' units; then, if traced, one traced run for
+    the counts."""
+    lines = _run(COMMAND, workload, seed, checkout)
     out = json.loads(lines[-1])
     record = {"correct": out["correct"], "attempted": out["attempted"],
               "failed": out["failed"],
@@ -72,7 +75,8 @@ def run_one(workload: str, seed: int) -> tuple[dict, dict]:
         for prefix, key in DIGESTS.items():
             if line.startswith(prefix):
                 record[key] = line[len(prefix):]
-    record["traced"] = traced_counts(workload, seed)
+    if traced:
+        record["traced"] = traced_counts(workload, seed)
     return record, {k: m["unit"] for k, m in out["metrics"].items()}
 
 
