@@ -92,6 +92,9 @@ class Engine:
 
 _new_tuple = tuple.__new__
 
+#: stands in a queue entry for the callback of a frame that exhausted its tries
+_LOST = object()
+
 #: seconds a read busy fraction is reused: busy moves on window timescales
 BUSY_CACHE_S = 0.05
 
@@ -170,8 +173,7 @@ class Medium:
         n = len(topo.links)
         self._busy_cache = [0.0] * n
         self._busy_cache_t = [-1.0] * n
-        # per directed link: transmitter slot, delivery odds, serialization,
-        # queue length; per link: outages still open
+        # per directed link: transmitter slot and delivery odds
         self._tx_slot = []
         self._p = []
         for link in topo.links:
@@ -192,8 +194,11 @@ class Medium:
                     slot = self._tx_slot[d]
                 entries.append((nbr, link_idx, d, link.capacity, slot))
             self._fanout[nid] = entries
-        self._busy_until = [0.0] * (2 * n)
-        self._pending = [0] * (2 * n)
+        # per directed link: the frames queued or on the air, oldest first,
+        # as (t_done, on_delivered or _LOST), and the one completion that
+        # each of them schedules at its t_done; per link: outages still open
+        self._queue = [[] for _ in range(2 * n)]
+        self._complete_on = [partial(self._complete, d) for d in range(2 * n)]
         self._cuts = [0] * n
         self.on_tx_failure: Callable | None = None      # (src, dst, link_idx, t)
         engine.schedule(engine.now + self._bucket_dt, self._rotate)
@@ -273,43 +278,36 @@ class Medium:
 
         A frame is dropped at a full queue (tail drop) or after retry_limit
         failed attempts; the latter raises the routing failure notification.
+        A frame starts when the one queued before it ends, or now on an
+        empty queue, so its completion runs after that frame's.
         """
         d = 2 * link_idx + (not forward)
         engine = self.engine
-        pending = self._pending
-        if pending[d] >= self.params.queue_limit:
+        queue = self._queue[d]
+        if len(queue) >= self.params.queue_limit:
             engine.stats.frames_dropped += 1
             return
-        start = self._busy_until[d]
-        now = engine.now
-        if start < now:
-            start = now
+        start = queue[-1][0] if queue else engine.now
         delivered, _attempts, t_done, _air = self.transmit(bits, link_idx,
                                                            forward, start)
-        self._busy_until[d] = t_done
-        pending[d] += 1
+        queue.append((t_done, on_delivered if delivered else _LOST))
         engine.stats.frames_sent += 1
-        if delivered:
-            done = partial(self._delivered, d, on_delivered, t_done)
+        engine.schedule(t_done, self._complete_on[d])
+
+    def _complete(self, d):
+        """End the oldest frame on directed link d: deliver it or report it."""
+        t_done, on_delivered = self._queue[d].pop(0)
+        stats = self.engine.stats
+        if on_delivered is _LOST:
+            stats.frames_dropped += 1
+            if self.on_tx_failure is not None:
+                link = self.topo.links[d >> 1]
+                ends = (link.dst, link.src) if d & 1 else (link.src, link.dst)
+                self.on_tx_failure(*ends, d >> 1, t_done)
         else:
-            done = partial(self._failed, d, t_done)
-        engine.schedule(t_done, done)
-
-    def _delivered(self, d, on_delivered, t_done):
-        self._pending[d] -= 1
-        self.engine.stats.frames_delivered += 1
-        if on_delivered is not None:
-            on_delivered(t_done)
-
-    def _failed(self, d, t_done):
-        self._pending[d] -= 1
-        self.engine.stats.frames_dropped += 1
-        if self.on_tx_failure is not None:
-            link_idx = d >> 1
-            link = self.topo.links[link_idx]
-            forward = not d & 1
-            self.on_tx_failure(link.transmitter(forward), link.receiver(forward),
-                               link_idx, t_done)
+            stats.frames_delivered += 1
+            if on_delivered is not None:
+                on_delivered(t_done)
 
     def broadcast(self, node_id: int, bits: float, deliver, wanted=None):
         """One unreliable transmission per radio; no retries, no ACKs.

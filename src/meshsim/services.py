@@ -139,7 +139,8 @@ class MeshTransport:
         self.medium = medium
         self.routers = routers
         self.header_bits = medium.params.header_bits
-        self.no_route_drops = 0
+        self.no_route_drops = 0                         # no route at a hop
+        self.ttl_drops = 0                              # TTL spent, as in a loop
 
     def now(self):
         return self.engine.now
@@ -163,7 +164,7 @@ class MeshTransport:
         which passes the arrival time as _t.
         """
         if ttl <= 0:
-            self.no_route_drops += 1
+            self.ttl_drops += 1
             return
         route = self.routers[node].route_to(dst_node)
         if route is None:

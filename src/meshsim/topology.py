@@ -82,12 +82,6 @@ class Link:
     p_deliver_rev: float
     capacity: float           # bits/s
 
-    def transmitter(self, forward: bool) -> int:
-        return self.src if forward else self.dst
-
-    def receiver(self, forward: bool) -> int:
-        return self.dst if forward else self.src
-
 
 @dataclass(frozen=True)
 class Topology:

@@ -136,6 +136,70 @@ def test_queue_tail_drop_at_limit():
     assert eng.stats.frames_delivered == 3
 
 
+@pytest.mark.parametrize("queue_limit", [1, 2])
+def test_frame_sent_as_the_one_before_ends_queues_until_its_completion_runs(
+        queue_limit):
+    # "before" sends at the instant the first frame ends, from an event that
+    # runs ahead of that frame's completion: the first frame still counts
+    # against queue_limit, and "before" starts at its end. "after" sends at
+    # the same instant from an event behind the completion: with limit 1
+    # the queue is empty then and it starts at now; with limit 2 it waits
+    # for "before". A twin medium on the same seed gives each end in advance.
+    twin, _ = _medium(1.0)
+    ends = [0.0]
+    for _ in range(3):
+        ends.append(twin.transmit(1000, 0, True, ends[-1]).completion_time)
+    t1, t2, t3 = ends[1:]
+    med, eng = _medium(1.0, mac=MacParams(queue_limit=queue_limit))
+    log = []
+
+    def send(label):
+        dropped = eng.stats.frames_dropped
+        med.send_frame(0, True, 1000,
+                       lambda t: log.append(("arrived", label, t, eng.now)))
+        log.append(("sent", label, eng.now, eng.stats.frames_dropped - dropped))
+    eng.schedule(t1, lambda: send("before"))
+    send("first")
+    eng.schedule(t1, lambda: send("after"))
+    eng.run_until(1.0)
+    if queue_limit == 1:
+        assert log == [("sent", "first", 0.0, 0), ("sent", "before", t1, 1),
+                       ("arrived", "first", t1, t1), ("sent", "after", t1, 0),
+                       ("arrived", "after", t2, t2)]
+    else:
+        assert log == [("sent", "first", 0.0, 0), ("sent", "before", t1, 0),
+                       ("arrived", "first", t1, t1), ("sent", "after", t1, 0),
+                       ("arrived", "before", t2, t2),
+                       ("arrived", "after", t3, t3)]
+
+
+def test_lost_frame_is_reported_at_its_end_before_the_next_frame_arrives():
+    # the first frame meets an outage on every attempt; the second, sent
+    # once the outage has closed, queues behind it and is delivered
+    def prepared():
+        med, eng = _medium(1.0)
+        med.outage(0, 1, 1e-3)
+        return med, eng
+    twin, twin_eng = prepared()
+    t_lost = twin.transmit(1000, 0, False, 0.0).completion_time
+    twin_eng.run_until(2e-3)
+    t_arrive = twin.transmit(1000, 0, False, t_lost).completion_time
+    assert 2e-3 < t_lost < t_arrive
+    med, eng = prepared()
+    log = []
+    med.on_tx_failure = lambda src, dst, li, t: log.append(
+        ("failed", src, dst, li, t, eng.now, eng.stats.frames_dropped))
+
+    def arrived(t):
+        log.append(("arrived", t, eng.now, eng.stats.frames_delivered))
+    med.send_frame(0, False, 1000, arrived)
+    eng.run_until(2e-3)
+    med.send_frame(0, False, 1000, arrived)
+    eng.run_until(1.0)
+    assert log == [("failed", 1, 0, 0, t_lost, t_lost, 1),
+                   ("arrived", t_arrive, t_arrive, 1)]
+
+
 def test_busy_fraction_idle_is_zero():
     med, _ = _medium(1.0)
     assert med.busy_fraction(0) == 0.0

@@ -249,10 +249,11 @@ def test_ttl_expiry_counts_as_a_drop():
     transport, arrived = MeshTransport(net.medium, net.routers), []
     transport._forward(0, 2, 1000, arrived.append, 1)
     net.run(9.0)
-    assert (transport.no_route_drops, arrived) == (1, [])
+    assert (transport.ttl_drops, transport.no_route_drops, arrived) == (1, 0, [])
     transport._forward(0, 2, 1000, arrived.append, 2)
     net.run(10.0)
-    assert transport.no_route_drops == 1 and len(arrived) == 1
+    assert (transport.ttl_drops, transport.no_route_drops) == (1, 0)
+    assert len(arrived) == 1
 
 
 # -- one tick event per stream ----------------------------------------------
