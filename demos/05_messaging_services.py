@@ -6,6 +6,8 @@ in the server's queue and flush the moment the recipient reappears. File
 transfers reuse the same machinery chunk by chunk.
 """
 
+import math
+
 from meshsim.harness import Simulation
 from meshsim.scenario import Scenario
 
@@ -36,7 +38,7 @@ def main():
     print(f"alice's notifications: {alice.notifications}")
 
     print("\n-- SMS to an offline recipient --")
-    server.sessions["bob"].status = "offline"
+    server.sessions["bob"].last_seen = -math.inf   # bob falls silent
     msg = alice.send_sms("bob")
     eng.run_until(14.0)                  # before bob's next beacon at 15.2
     state = server.deliveries[msg.msg_id]
@@ -55,7 +57,7 @@ def main():
 
     print("\n-- presence expiry --")
     server.sessions["alice"].last_seen = eng.now - 30.0
-    gone = server.expire_stale(eng.now)
+    gone = [cid for cid in sorted(server.sessions) if not server.is_online(cid)]
     print(f"expired after 30 s of silence: {gone}")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .engine import Engine, EngineStats, Medium
 from .errors import CalleeOffline, IoError, NoRoute, SenderOffline, TooFewSamples
-from .routing import Router, wire_network
+from .routing import start_routers
 from .scenario import Scenario
 from .services import Client, MeshTransport, Server, ServiceStack
 
@@ -129,13 +129,7 @@ class Simulation:
         self.engine = Engine(seed)
         self.topo = scenario.topology
         self.medium = Medium(self.topo, self.engine, scenario.mac)
-        node_ids = sorted(self.topo.nodes)
-        self.routers = {nid: Router(nid, self.medium, scenario.routing, scenario.elp)
-                        for nid in node_ids}
-        wire_network(self.routers, self.medium)
-        phase_step = scenario.routing.hello_interval / max(len(node_ids), 1)
-        for i, nid in enumerate(node_ids):
-            self.routers[nid].start(phase=i * phase_step)
+        self.routers = start_routers(self.medium, scenario.routing, scenario.elp)
         self.transport = MeshTransport(self.medium, self.routers)
         self.ledger = scenario.make_ledger()
         self.server = Server(self.transport, self.topo.server_nodes()[0],
@@ -154,7 +148,6 @@ class Simulation:
 
     def _schedule_bringup(self):
         def bringup():
-            self.server.start_presence_timer()
             for cid in sorted(self.clients):
                 self.clients[cid].register()
                 self.clients[cid].start_beacons()

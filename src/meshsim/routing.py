@@ -22,6 +22,7 @@ from .metrics import ElpParams
 
 @dataclass
 class RoutingParams:
+    METRICS = ("elp", "hop_count")    # link costs: metrics.elp_link, or 1 a hop
     hello_interval: float = 1.0
     tc_interval: float = 5.0
     hold_multiplier: int = 3          # entry lifetime = multiplier * interval
@@ -34,7 +35,7 @@ class RoutingParams:
     strike_window: float = 60.0
     control_bits: int = 2048          # HELLO/TC/HNA frame size (256 bytes)
     long_term_alpha: float = 0.05     # slow EWMA feeding the long-term score
-    metric: str = "elp"               # elp | hop_count
+    metric: str = "elp"
 
     def __post_init__(self):
         check_ranges(self, positive=("hello_interval", "tc_interval", "hold_multiplier",
@@ -46,6 +47,8 @@ class RoutingParams:
         if not 0.0 <= self.long_term_threshold <= 1.0:
             raise ValueError(f"long_term_threshold must be in [0, 1], "
                              f"got {self.long_term_threshold!r}")
+        if self.metric not in self.METRICS:
+            raise ValueError(f"metric must be elp or hop_count, got {self.metric!r}")
 
 
 @dataclass(slots=True)
@@ -147,7 +150,7 @@ class Router:
         self.params = params
         self.elp = elp_params or ElpParams()
         self.is_server = medium.topo.nodes[node_id].is_server
-        self.peers: dict[int, "Router"] = {}     # filled by wire_network
+        self.peers: dict[int, "Router"] = {}     # filled by start_routers
         # neighbor node -> {link_idx: NeighborLink}
         self.neighbors: dict[int, dict[int, NeighborLink]] = {}
         self.db: dict[int, dict] = {}            # origin -> {expires, links}
@@ -478,14 +481,20 @@ def takes_copy(peers, kind, origin, seq, reached):
     return taken
 
 
-def wire_network(routers: dict[int, Router], medium):
-    """Connect router instances and the MAC failure notification."""
+def start_routers(medium, params: RoutingParams, elp: ElpParams | None = None):
+    """A run's routers, {node: Router} in id order: they share this map as
+    their peers, hear the MAC's transmit failures, and start with their
+    HELLO phases staggered over one hello interval."""
+    ids = sorted(medium.topo.nodes)
+    routers = {nid: Router(nid, medium, params, elp) for nid in ids}
     for r in routers.values():
         r.peers = routers
 
     def on_fail(src, dst, link_idx, t):
-        rt = routers.get(src)
-        if rt is not None:
-            rt.handle_tx_failure(dst, link_idx, t)
+        routers[src].handle_tx_failure(dst, link_idx, t)
 
     medium.on_tx_failure = on_fail
+    step = params.hello_interval / max(len(ids), 1)
+    for i, nid in enumerate(ids):
+        routers[nid].start(phase=i * step)
+    return routers

@@ -304,8 +304,9 @@ def _build(raw, name) -> Scenario:
 
     # protocol
     metric = proto.get("metric", "elp")
-    if metric not in ("elp", "hop_count"):
+    if metric not in RoutingParams.METRICS:
         problems.append(f"protocol.metric: must be elp or hop_count, got {metric!r}")
+        metric = "elp"                   # reported here, not again at protocol.routing
     routing = _params(RoutingParams, proto.get("routing", {}), "protocol.routing",
                       problems, metric=metric)
     services = proto.get("services", ServiceParams())

@@ -1,11 +1,11 @@
 """Disaster-communication application layer over the simulated mesh.
 
 Server-relayed messaging (SMS and chunked file transfer) with bounded
-ACK/retry, store-and-forward queues for offline recipients, presence with
-expiry, admission-controlled calls, broadcast audio, and a confirm-first
-video request handshake. All state machines are driven by a transport
-object exposing now()/schedule()/send(); production uses MeshTransport,
-tests can substitute a scripted fake.
+ACK/retry, store-and-forward queues for offline recipients, presence read
+from when a client was last heard, admission-controlled calls, broadcast
+audio, and a confirm-first video request handshake. All state machines are
+driven by a transport object exposing now()/schedule()/send(); production
+uses MeshTransport, tests can substitute a scripted fake.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ class ServiceParams:
 class ClientSession:
     client_id: str
     attach_node: int
-    last_seen: float = 0.0
-    status: str = "online"            # online | offline
+    last_seen: float = 0.0            # online while heard within presence_timeout
 
 
 @dataclass
@@ -285,31 +284,15 @@ class Server:
         session = self.sessions.get(client_id)
         if session is None:
             raise UnknownSession(client_id)
-        was_offline = session.status == "offline"
+        was_offline = t - session.last_seen > self.params.presence_timeout
         session.last_seen = t
-        session.status = "online"
         if was_offline:
             self._flush_queue(client_id)
 
-    def expire_stale(self, t) -> list[str]:
-        gone = []
-        for cid, session in self.sessions.items():
-            if (session.status == "online"
-                    and t - session.last_seen > self.params.presence_timeout):
-                session.status = "offline"
-                gone.append(cid)
-        return gone
-
     def is_online(self, client_id) -> bool:
         s = self.sessions.get(client_id)
-        return s is not None and s.status == "online"
-
-    def start_presence_timer(self):
-        """Mark silent sessions offline, checking once a second."""
-        def tick():
-            self.expire_stale(self.net.now())
-            self.net.schedule(self.net.now() + 1.0, tick)
-        self.net.schedule(self.net.now() + 1.0, tick)
+        return (s is not None
+                and self.net.now() - s.last_seen <= self.params.presence_timeout)
 
     # -- relayed messaging -------------------------------------------------
 

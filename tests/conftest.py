@@ -1,12 +1,26 @@
 """Shared fixtures: tiny topologies, a scripted transport, network assembly."""
 
 import math
+import os
 
 import pytest
 
 from meshsim.engine import Engine, MacParams, Medium
-from meshsim.routing import Router, RoutingParams, wire_network
+from meshsim.routing import RoutingParams, start_routers
 from meshsim.topology import NodeSpec, PropagationModel, RadioSpec, build_topology
+
+
+def pytest_runtest_logreport(report):
+    """Append each captured `[acceptance]` line to $GITHUB_STEP_SUMMARY, as a
+    list item, so a CI run shows every criterion's value and bound."""
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if not summary or report.when != "call":
+        return
+    lines = [line for line in report.capstdout.splitlines()
+             if line.startswith("[acceptance] ")]
+    if lines:
+        with open(summary, "a", encoding="utf-8") as f:
+            f.writelines(f"- {line}\n" for line in lines)
 
 
 def make_nodes(positions, channel=1, rate=12e6, tx_range=40.0, cs_range=80.0,
@@ -30,14 +44,7 @@ class Net:
         self.engine = Engine(seed)
         self.medium = Medium(topo, self.engine, mac or MacParams())
         self.routing = routing or RoutingParams()
-        self.routers = {}
-        ids = sorted(topo.nodes)
-        for nid in ids:
-            self.routers[nid] = Router(nid, self.medium, self.routing, elp)
-        wire_network(self.routers, self.medium)
-        step = self.routing.hello_interval / max(len(ids), 1)
-        for i, nid in enumerate(ids):
-            self.routers[nid].start(phase=i * step)
+        self.routers = start_routers(self.medium, self.routing, elp)
 
     def run(self, t):
         self.engine.run_until(t)

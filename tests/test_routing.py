@@ -11,11 +11,19 @@ from meshsim import metrics, preset_path
 from meshsim.engine import Medium, rng_stream
 from meshsim.harness import Simulation
 from meshsim.metrics import BUSY_MAX
-from meshsim.routing import Route, compute_routes, maybe_switch_route, takes_copy
+from meshsim.routing import (Route, RoutingParams, compute_routes, maybe_switch_route,
+                             takes_copy)
 from meshsim.scenario import Scenario
 
 from conftest import make_net
 from runstate import churn_scenario, held_seq
+
+
+def test_unknown_metric_is_rejected():
+    # _local_links costs every link by ELP unless the metric is hop_count,
+    # so a misspelt metric would run ELP without a word
+    with pytest.raises(ValueError, match="metric must be elp or hop_count, got 'etx'"):
+        RoutingParams(metric="etx")
 
 
 # -- shortest paths ---------------------------------------------------------

@@ -350,6 +350,15 @@ def test_bad_metric_name():
         Scenario.from_dict(raw)
 
 
+def test_bad_metric_is_reported_once_at_protocol_metric():
+    raw = minimal_dict()
+    raw["protocol"] = {"metric": "etx", "routing": {"hello_interval": 0.5}}
+    with pytest.raises(ValidationError) as exc:
+        Scenario.from_dict(raw)
+    assert exc.value.problems == [
+        "protocol.metric: must be elp or hop_count, got 'etx'"]
+
+
 def test_every_service_param_is_a_key():
     raw = minimal_dict()
     raw["protocol"] = {"services": {

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from meshsim.errors import ReceiverUnknown, SenderOffline, UnknownSession
@@ -33,25 +35,52 @@ def test_dedupe_filter():
 def test_open_mode_no_credentials():
     _net, server, alice, _bob = make_world()
     session = alice.register()
-    assert session.status == "online"
+    assert session.last_seen == 0.0
     assert server.is_online("alice")
 
 
 # -- presence ---------------------------------------------------------------
 
 def test_presence_update_keeps_client_online():
-    _net, server, alice, _bob = make_world()
+    net, server, alice, _bob = make_world()
     alice.register(t=0.0)
     server.presence_update("alice", 5.0)
-    server.expire_stale(6.0)
+    net.run(20.0)                               # 15 s after the update
     assert server.is_online("alice")
 
 
 def test_silence_past_timeout_goes_offline():
-    _net, server, alice, _bob = make_world()
+    net, server, alice, _bob = make_world()
     alice.register(t=0.0)
-    assert server.expire_stale(20.0) == ["alice"]
+    net.run(20.0)
     assert not server.is_online("alice")
+
+
+def test_online_until_exactly_presence_timeout_after_last_heard():
+    # no timer runs: presence is read from last_seen when asked
+    net, server, alice, _bob = make_world()
+    alice.register(t=0.0)
+    timeout = server.params.presence_timeout
+    net.run(timeout)
+    assert server.is_online("alice")
+    net.run(math.nextafter(timeout, math.inf))
+    assert not server.is_online("alice")
+
+
+def test_sms_sent_just_past_timeout_queues_and_flushes_on_first_beacon():
+    net, server, alice, bob = make_world()
+    bob.register(t=0.0)
+    net.run(math.nextafter(server.params.presence_timeout, math.inf))
+    alice.register()
+    msg = alice.send_sms("bob")
+    net.run(16.0)
+    assert server.deliveries[msg.msg_id].phase == "queued_offline"
+    assert server.offline_queue["bob"] == [msg]
+    bob.start_beacons()                         # its first beacon goes now
+    net.run(20.0)
+    assert "bob" not in server.offline_queue
+    assert [m.msg_id for m in bob.inbox] == [msg.msg_id]
+    assert server.deliveries[msg.msg_id].phase == "delivered"
 
 
 def test_presence_update_for_unknown_session():
@@ -63,13 +92,14 @@ def test_presence_update_for_unknown_session():
 def test_beacon_back_from_offline_flushes_the_queue():
     net, server, alice, bob = make_world()
     bob.register(t=0.0)
-    assert server.expire_stale(20.0) == ["bob"]
-    alice.register(t=20.0)
+    net.run(20.0)
+    assert not server.is_online("bob")
+    alice.register()
     msg = alice.send_sms("bob")
-    net.run(5.0)
+    net.run(25.0)
     assert server.deliveries[msg.msg_id].phase == "queued_offline"
     bob.start_beacons()                         # its first beacon goes now
-    net.run(10.0)
+    net.run(30.0)
     assert server.is_online("bob") and "bob" not in server.offline_queue
     assert [m.msg_id for m in bob.inbox] == [msg.msg_id]
     assert server.deliveries[msg.msg_id].phase == "delivered"
@@ -79,7 +109,6 @@ def test_beacons_refresh_presence():
     net, server, alice, _bob = make_world()
     alice.register(t=0.0)
     alice.start_beacons()
-    server.start_presence_timer()
     net.run(60.0)
     assert server.is_online("alice")
 
@@ -176,7 +205,7 @@ def test_relay_leg_retries_and_requeues_for_offline():
     bob.register()
     msg = alice.send_sms("bob")
     net.run(3.0)
-    server.sessions["bob"].status = "offline"
+    server.sessions["bob"].last_seen = -math.inf      # bob goes silent
     net.run(30.0)
     assert server.deliveries[msg.msg_id].phase == "queued_offline"
     assert msg in server.offline_queue["bob"]
@@ -189,6 +218,7 @@ def test_relay_leg_fails_while_recipient_stays_online():
         loss_script={(SRV, NODE_B): [False] * 4})
     alice.register()
     bob.register()
+    bob.start_beacons()                         # heard every 5 s throughout
     msg = alice.send_sms("bob")
     net.run(30.0)
     assert net.count(SRV, NODE_B) == 4

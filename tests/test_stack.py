@@ -1,5 +1,7 @@
 """Call, broadcast, and video behavior of the service stack."""
 
+import math
+
 import pytest
 import yaml
 
@@ -88,10 +90,10 @@ def test_no_route_back_releases_the_outbound_reservation():
 
 def test_call_requires_online_endpoints():
     net, server, stack, clients = make_stack()
-    server.sessions["c1"].status = "offline"
+    server.sessions["c1"].last_seen = -math.inf
     with pytest.raises(CalleeOffline):
         stack.start_call("c0", "c1", 5.0)
-    server.sessions["c0"].status = "offline"
+    server.sessions["c0"].last_seen = -math.inf
     with pytest.raises(SenderOffline):
         stack.start_call("c0", "c1", 5.0)
 
@@ -109,8 +111,7 @@ def test_background_calls_bypass_admission():
 
 def test_broadcast_no_online_clients_is_empty():
     net, server, stack, clients = make_stack(n_clients=2)
-    for s in server.sessions.values():
-        s.status = "offline"
+    net.run(20.0)                               # both silent past presence_timeout
     assert stack.broadcast_audio(10.0) == []
 
 
@@ -123,7 +124,7 @@ def test_broadcast_duration_cap():
 
 def test_broadcast_one_flow_per_online_client():
     net, server, stack, clients = make_stack(n_clients=3)
-    server.sessions["c2"].status = "offline"
+    server.sessions["c2"].last_seen = -math.inf
     records = stack.broadcast_audio(5.0)
     assert sorted(r.dst for r in records) == ["c0", "c1"]
     net.run(10.0)
